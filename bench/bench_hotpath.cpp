@@ -45,9 +45,9 @@ HotpathRow run_once(const tiling::TilingModel& model, Int n, int ranks,
   engine::EngineOptions opt;
   opt.ranks = ranks;
   opt.threads = 1;
-  if (monitored) opt.monitor_path = "-";  // live telemetry, no event log
-  if (profiled) opt.profile_path = "-";   // sampling profiler, no document
-  if (msgtraced) opt.msgtrace_json_path = "-";  // collect records, no doc
+  if (monitored) opt.obs.monitor = "-";  // live telemetry, no event log
+  if (profiled) opt.obs.profile = "-";   // sampling profiler, no document
+  if (msgtraced) opt.obs.msgtrace = "-";  // collect records, no doc
   std::int64_t alloc0 = counter_value("runtime.edge_alloc");
   std::int64_t hit0 = counter_value("runtime.pool_hit");
   auto r = engine::run(model, {n}, [](const engine::Cell& c) {

@@ -6,20 +6,23 @@
 //   $ ./generate_program spec.txt out.cpp      # generate a program
 //   $ ./generate_program                       # demo: sample -> bandit2.gen.cpp
 //
-// Compile the output with:
-//   c++ -std=c++20 -O2 -fopenmp -DDPGEN_RUNTIME_USE_OPENMP \
-//       -I<repo>/src out.cpp libdpgen_runtime.a libdpgen_minimpi.a \
-//       libdpgen_obs.a libdpgen_support.a -lpthread -o solver
-//   ./solver <params...> [--ranks=R] [--threads=T] [--trace=FILE]
-//            [--metrics=FILE] [--report=FILE]
-// --report writes the attributed performance report (critical path,
-// Ehrhart-vs-measured load balance, comm matrix — docs/observability.md).
+// It prints the command that compiles the output against this build's
+// libraries (paths relative to the working directory when shorter), e.g.
+// from the repository root:
+//   c++ -std=c++20 -O2 -fopenmp -DDPGEN_RUNTIME_USE_OPENMP -Isrc out.cpp
+//       build/src/runtime/libdpgen_runtime.a
+//       build/src/minimpi/libdpgen_minimpi.a build/src/obs/libdpgen_obs.a
+//       build/src/support/libdpgen_support.a -lpthread -o out
+// Run the program without arguments for its usage line; the observability
+// flags are described in docs/observability.md.
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include "codegen/generator.hpp"
 #include "spec/parser.hpp"
+#include "support/str.hpp"
 
 using namespace dpgen;
 
@@ -59,6 +62,25 @@ if (is_valid_r1 && is_valid_r2 && is_valid_r3 && is_valid_r4) {
 }
 }}}
 )";
+
+/// `path` relative to the working directory when that is shorter.
+std::string shortest(const std::string& path) {
+  std::error_code ec;
+  const std::string rel = std::filesystem::relative(path, ec).string();
+  return !ec && !rel.empty() && rel.size() < path.size() ? rel : path;
+}
+
+/// The command that compiles `source` (x.gen.cpp) into a program (x).
+std::string compile_command(const std::string& source) {
+  const std::filesystem::path binary =
+      std::filesystem::path(source).replace_extension().replace_extension();
+  std::string cmd = cat("c++ -std=c++20 -O2 -fopenmp -DDPGEN_RUNTIME_USE_OPENMP",
+                        " -I", shortest(DPGEN_SRC_DIR), " ", source);
+  for (const char* lib : {DPGEN_LIB_RUNTIME, DPGEN_LIB_MINIMPI,
+                          DPGEN_LIB_OBS, DPGEN_LIB_SUPPORT})
+    cmd += " " + shortest(lib);
+  return cat(cmd, " -lpthread -o ", binary.string());
+}
 
 }  // namespace
 
@@ -112,11 +134,7 @@ int main(int argc, char** argv) {
     std::printf("wrote %s (problem '%s', %d dimensions, %d tile edges)\n",
                 out_path.c_str(), model.problem().problem_name().c_str(),
                 model.dim(), model.num_edges());
-    std::printf("compile: c++ -std=c++20 -O2 -fopenmp "
-                "-DDPGEN_RUNTIME_USE_OPENMP -I<repo>/src %s "
-                "libdpgen_runtime.a libdpgen_minimpi.a libdpgen_obs.a "
-                "libdpgen_support.a -lpthread -o solver\n",
-                out_path.c_str());
+    std::printf("compile: %s\n", compile_command(out_path).c_str());
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -20,6 +20,56 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
 
+echo "==== quick-start smoke (the README's generate -> compile -> run block)"
+# The README block runs as written, from the repository root: its compile
+# command must be the one generate_program prints, and the program must
+# print the README's RESULT line.  A second run turns the observability
+# flags on, and every document it writes must validate.
+qs=build/quickstart-smoke
+rm -rf "$qs" && mkdir -p "$qs"
+python3 - README.md "$qs" <<'EOF'
+import sys
+text = open(sys.argv[1]).read()
+start = "$ ./build/examples/generate_program --sample"
+block = start + text.split("```\n" + start, 1)[1].split("```", 1)[0]
+cmds, expected, cur = [], [], None
+for line in block.splitlines():
+    if cur is not None:
+        cur += " " + line.strip()
+    elif line.startswith("$ "):
+        cur = line[2:]
+    else:
+        if line.startswith("RESULT"):
+            expected.append(line)
+        continue
+    if cur.endswith("\\"):
+        cur = cur[:-1].rstrip()
+    else:
+        cmds.append(" ".join(cur.split()))
+        cur = None
+out = sys.argv[2]
+open(out + "/commands.sh", "w").write("set -e\n" + "\n".join(cmds) + "\n")
+open(out + "/compile.expected", "w").write(
+    "".join(c + "\n" for c in cmds if c.startswith("c++ ")))
+open(out + "/result.expected", "w").write("\n".join(expected) + "\n")
+EOF
+trap 'rm -f bandit2 bandit2.spec bandit2.gen.cpp' EXIT
+bash "$qs/commands.sh" > "$qs/readme.out"
+sed -n 's/^compile: //p' "$qs/readme.out" | diff "$qs/compile.expected" -
+grep '^RESULT' "$qs/readme.out" | diff "$qs/result.expected" -
+./bandit2 100 --ranks=4 --threads=6 --report="$qs/report.json" \
+  --msgtrace="$qs/msgtrace.json" --monitor=- --profile=- > "$qs/obs.out"
+grep '^RESULT' "$qs/obs.out" | diff "$qs/result.expected" -
+grep -q '^MONITOR heartbeats=' "$qs/obs.out"
+grep -q '^PROFILE samples=' "$qs/obs.out"
+grep -q '^MSGTRACE records=' "$qs/obs.out"
+for doc in report msgtrace; do
+  build/tools/dpgen-analyze --validate="$qs/$doc.json"
+done
+rm -f bandit2 bandit2.spec bandit2.gen.cpp
+trap - EXIT
+echo "quick-start smoke passed"
+
 echo "==== analyzer smoke (--report + dpgen-analyze + schema validation)"
 # Two bundled problems through the full report pipeline: engine run with
 # --report/--trace-out, the exported trace re-ingested by dpgen-analyze,

@@ -6,8 +6,6 @@
 
 #include "engine/decisions.hpp"
 #include "engine/interpret.hpp"
-#include "obs/export.hpp"
-#include "obs/msgtrace.hpp"
 #include "support/str.hpp"
 
 namespace dpgen::engine {
@@ -193,28 +191,10 @@ long long EngineResult::total(long long runtime::RunStats::* field) const {
 
 EngineResult run(const tiling::TilingModel& model, const IntVec& params,
                  const CenterFn& center, const EngineOptions& options) {
-  // A trace request switches the process-wide tracer on for this run and
-  // starts it from a clean buffer, so the exported timeline covers exactly
-  // this execution.  A report request implies tracing: the analyzer needs
-  // the spans.
-  const bool tracing =
-      !options.trace_json_path.empty() || !options.report_json_path.empty();
-  obs::Tracer& tracer = obs::Tracer::instance();
-  const bool was_enabled = tracer.enabled();
-  if (tracing) {
-    tracer.clear();
-    tracer.set_enabled(true);
-  }
-  // Message tracing is independent of span tracing (either can run alone);
-  // the records feed the msgtrace document, the report's msgtrace section
-  // and the exported trace's flow events.
-  const bool msg_tracing = !options.msgtrace_json_path.empty();
-  obs::MsgTracer& msg_tracer = obs::MsgTracer::instance();
-  const bool msg_was_enabled = msg_tracer.enabled();
-  if (msg_tracing) {
-    msg_tracer.clear();
-    msg_tracer.set_enabled(true);
-  }
+  // The session arms the requested instruments for exactly this run
+  // (tracers start from clean buffers) and disarms them however it ends.
+  obs::Session session(options.obs, {"engine", model.problem().problem_name(),
+                                     params});
 
   Recorder recorder;
   recorder.record_all = options.record_all;
@@ -236,6 +216,7 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
                                   model.problem().dep_signs(), options.policy);
   ropt.poison_buffers = options.poison_buffers;
   ropt.stall_timeout_seconds = options.stall_timeout_seconds;
+  ropt.profile = session.profiling();
 
   // Fault tolerance: tile completions feed a checkpoint store (producer-
   // side edge log; see runtime/checkpoint.hpp), and a TransportFailure —
@@ -264,41 +245,15 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
     ropt.replay_guard = true;
   }
 
-  // Continuous profiling: armed once for the whole run (restart attempts
-  // accumulate into the same document — the cost model wants the total
-  // work, not one attempt's slice).
-  const bool profiling = !options.profile_path.empty();
-  if (profiling) {
-    obs::ProfileOptions popt;
-    popt.hz = options.profile_hz;
-    popt.force_cputime = options.profile_force_cputime;
-    popt.source = "engine";
-    popt.problem = options.profile_problem.empty()
-                       ? model.problem().problem_name()
-                       : options.profile_problem;
-    popt.params = params;
-    obs::Profiler::instance().start(popt);
-    ropt.profile = true;
-  }
-  // A run that throws (non-fault-tolerant failure, restarts exhausted) must
-  // not leave the process-wide profiler armed for the next run.
-  struct ProfilerDisarm {
-    bool armed;
-    ~ProfilerDisarm() {
-      if (armed && obs::Profiler::instance().active())
-        (void)obs::Profiler::instance().stop();
-    }
-  } profiler_disarm{profiling};
-
   int alive = options.ranks;
   int restarts = 0;
   std::vector<int> failed_ranks;
   minimpi::FaultStats fault_stats;
 
   std::optional<tiling::LoadBalancer> balancer_storage;
-  std::optional<obs::Monitor> monitor;
   std::optional<minimpi::World> world;
   std::vector<runtime::RunStats> rank_stats;
+  std::vector<double> predicted_work;
 
   for (;;) {
     // Ownership is re-planned for the surviving fleet each attempt: the
@@ -309,27 +264,14 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
       balancer_storage.emplace(model, params, alive, options.balance);
     }
     tiling::LoadBalancer& balancer = *balancer_storage;
+    predicted_work.clear();
+    for (int r = 0; r < alive; ++r)
+      predicted_work.push_back(static_cast<double>(balancer.owned_work(r)));
 
-    // Live telemetry: a wall-clock sampler publishes per-rank heartbeats
-    // and runs the straggler detector while the ranks execute ("-" =
-    // in-process monitoring only, no event log).  Restart attempts append
-    // to the same event log for one continuous history.
-    monitor.reset();
-    ropt.monitor = nullptr;
-    if (!options.monitor_path.empty()) {
-      obs::MonitorOptions mopt;
-      mopt.nranks = alive;
-      mopt.interval_s = options.monitor_interval;
-      if (options.monitor_path != "-") mopt.events_path = options.monitor_path;
-      mopt.append = restarts > 0;
-      for (int r = 0; r < alive; ++r)
-        mopt.predicted_work.push_back(
-            static_cast<double>(balancer.owned_work(r)));
-      mopt.source = "engine";
-      mopt.problem = model.problem().problem_name();
-      monitor.emplace(std::move(mopt));
-      ropt.monitor = &*monitor;
-    }
+    // Each attempt gets a fresh World (per-link sequence counters restart
+    // from 0) and a fresh live monitor appending to the same event log.
+    session.restart(alive, predicted_work);
+    ropt.monitor = session.monitor();
 
     // Faults are injected only on the first attempt: the plan describes
     // one concrete failure scenario, and recovery must not re-trip it.
@@ -342,11 +284,6 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
           std::make_shared<minimpi::FaultInjector>(base, *options.fault_plan);
       transport = injector;
     }
-
-    // Each attempt gets a fresh World (per-link sequence counters restart
-    // from 0), so stale records from an aborted attempt must not pollute
-    // the final attempt's conservation accounting.
-    if (msg_tracing) msg_tracer.clear();
 
     world.emplace(alive, options.mailbox_capacity, transport);
     rank_stats.assign(static_cast<std::size_t>(alive), {});
@@ -371,10 +308,9 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
                       " restarts: ", e.what()));
       const int next_alive =
           std::max(1, alive - static_cast<int>(dead.size()));
-      if (monitor) {
+      if (obs::Monitor* monitor = session.monitor()) {
         for (int r : dead) monitor->rank_failed(r, e.what());
         monitor->restart_event(restarts, next_alive);
-        monitor->stop();
       }
       for (int r : dead) failed_ranks.push_back(r);
       alive = next_alive;
@@ -387,104 +323,26 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
   }
   if (fault_tolerant) store.flush();
 
-  std::vector<obs::StragglerFlag> stragglers;
-  if (monitor) {
-    monitor->stop();
-    stragglers = monitor->stragglers();
-  }
-
-  std::optional<obs::ProfileDoc> profile;
-  if (profiling) {
-    profiler_disarm.armed = false;
-    obs::ProfileDoc doc = obs::Profiler::instance().stop();
-    doc.nranks = alive;
-    if (!doc.families.empty()) {
-      // The Ehrhart prediction for the fleet that finished the run: the
-      // cost table's "predicted cells" column.
-      double predicted = 0.0;
-      for (int r = 0; r < alive; ++r)
-        predicted += static_cast<double>(balancer_storage->owned_work(r));
-      doc.families[0].predicted_cells = predicted;
-    }
-    if (options.profile_path != "-")
-      obs::write_profile_json(options.profile_path, doc);
-    profile = std::move(doc);
-  }
-
-  std::vector<obs::MsgRecord> msg_records;
-  std::uint64_t msg_dropped = 0;
-  if (msg_tracing) {
-    // run_node gathered every rank's records to rank 0 (the shared
-    // in-process tracer), mirroring the span gather.
-    msg_records = msg_tracer.merged();
-    msg_dropped = msg_tracer.dropped();
-    if (options.msgtrace_json_path != "-") {
-      obs::MsgTraceInput min;
-      min.records = msg_records;
-      min.nranks = alive;
-      min.sent_matrix = world->sent_matrix();
-      min.records_dropped = msg_dropped;
-      min.expected_drops = fault_stats.messages_dropped;
-      min.expected_dups = fault_stats.messages_duplicated;
-      for (const auto& s : rank_stats)
-        min.table_duplicates += s.table.duplicate_edges;
-      min.source = "engine";
-      min.problem = model.problem().problem_name();
-      min.params = params;
-      obs::write_msgtrace_json(options.msgtrace_json_path, min);
-    }
-    msg_tracer.set_enabled(msg_was_enabled);
-  }
-
-  std::optional<obs::AnalysisReport> report;
-  if (tracing) {
-    // run_node gathered every rank's spans to rank 0, which (in this
-    // in-process world) merged them into the shared tracer; the setup
-    // spans recorded before the world started ride along under rank -1.
-    std::vector<obs::Span> spans = tracer.merged();
-    for (const obs::Span& s : tracer.collect_rank(-1)) spans.push_back(s);
-    const std::uint64_t dropped = tracer.dropped();
-    if (!options.trace_json_path.empty())
-      obs::write_chrome_trace(options.trace_json_path, spans, dropped,
-                              msg_records);
-    if (!options.report_json_path.empty()) {
-      // The report covers the attempt that finished: the last balancer,
-      // world and rank count (smaller than options.ranks after a kill).
-      obs::AnalysisInput in;
-      in.spans = std::move(spans);
-      in.nranks = alive;
-      for (const auto& e : model.edges()) in.edge_offsets.push_back(e.offset);
-      for (int r = 0; r < alive; ++r)
-        in.predicted_work.push_back(
-            static_cast<double>(balancer_storage->owned_work(r)));
-      in.bytes_matrix = world->bytes_matrix();
-      in.messages_matrix = world->messages_matrix();
-      in.spans_dropped = dropped;
-      in.source = "engine";
-      in.problem = model.problem().problem_name();
-      in.params = params;
-      in.msg_records = msg_records;
-      in.msg_records_dropped = msg_dropped;
-      report = obs::analyze(in);
-      obs::write_report_json(options.report_json_path, *report);
-    }
-    tracer.set_enabled(was_enabled);
-  }
-  if (!options.metrics_json_path.empty())
-    obs::write_metrics_json(options.metrics_json_path,
-                            obs::MetricsRegistry::instance());
+  // The documents cover the attempt that finished: the last balancer,
+  // world and rank count (smaller than options.ranks after a kill).
+  obs::RunFacts facts = runtime::run_facts(*world, rank_stats);
+  facts.predicted_work = std::move(predicted_work);
+  for (const auto& e : model.edges()) facts.edge_offsets.push_back(e.offset);
+  facts.fault_drops = fault_stats.messages_dropped;
+  facts.fault_dups = fault_stats.messages_duplicated;
+  obs::SessionResult docs = session.finish(facts);
 
   EngineResult result;
-  result.report = std::move(report);
+  result.report = std::move(docs.report);
   result.values = std::move(recorder.values);
   result.rank_stats = std::move(rank_stats);
   result.max_value = recorder.max_value;
   result.max_point = std::move(recorder.max_point);
-  result.stragglers = std::move(stragglers);
+  result.stragglers = std::move(docs.stragglers);
   result.restarts = restarts;
   result.failed_ranks = std::move(failed_ranks);
   result.fault_stats = fault_stats;
-  result.profile = std::move(profile);
+  result.profile = std::move(docs.profile);
   return result;
 }
 

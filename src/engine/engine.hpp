@@ -14,8 +14,7 @@
 #include <unordered_map>
 
 #include "minimpi/faults.hpp"
-#include "obs/analysis.hpp"
-#include "obs/profile.hpp"
+#include "obs/session.hpp"
 #include "runtime/driver.hpp"
 #include "tiling/balance.hpp"
 #include "tiling/model.hpp"
@@ -82,36 +81,13 @@ struct EngineOptions {
   /// smallest location) — the objective shape of local-alignment style
   /// DPs, where the answer is max over the whole space rather than f(0).
   bool track_max = false;
-  /// When non-empty, span tracing is enabled for this run and the merged
-  /// rank x thread timeline is written here as Chrome trace-event JSON
-  /// (open in Perfetto / chrome://tracing; see docs/observability.md).
-  std::string trace_json_path;
-  /// When non-empty, the obs::MetricsRegistry is dumped here as JSON
-  /// after the run.
-  std::string metrics_json_path;
-  /// When non-empty, the run is traced (like trace_json_path) and the
-  /// attributed performance report — critical path, Ehrhart-vs-measured
-  /// load-balance audit, per-peer communication matrix (obs/analysis.hpp)
-  /// — is written here as JSON; the same report lands in
-  /// EngineResult::report.
-  std::string report_json_path;
-  /// When non-empty, causal message tracing is enabled for this run: every
-  /// data-plane message carries a lifecycle envelope (pack / send / admit /
-  /// deliver / unpack / dispatch stamps) and the dpgen.msgtrace.v1
-  /// document — per-link conservation accounting plus the queueing-delay
-  /// decomposition — is written here.  "-" collects records (they feed
-  /// the report's msgtrace section and the trace's flow events) without
-  /// writing the document.  After a checkpoint restart the document covers
-  /// the attempt that finished, matching the report.
-  std::string msgtrace_json_path;
-  /// When non-empty, live telemetry is enabled for this run: per-rank
-  /// heartbeats, scheduler snapshots and online straggler detection are
-  /// appended here as dpgen.events.v1 JSONL (see docs/observability.md).
-  /// "-" enables monitoring (MonitorHub / EngineResult::stragglers)
-  /// without writing an event log.
-  std::string monitor_path;
-  /// Sampling / straggler-detector period in seconds.
-  double monitor_interval = 0.05;
+  /// Observability for this run — trace, metrics, report, message trace,
+  /// live monitor, profile (obs/session.hpp, docs/observability.md).  "-"
+  /// collects without writing: the report, profile and stragglers still
+  /// land in EngineResult.  After a checkpoint restart the report and the
+  /// message trace cover the attempt that finished; the event log and the
+  /// profile cover every attempt.
+  obs::SessionOptions obs;
   /// Deterministic fault injection: when set, the first attempt's transport
   /// is wrapped in a minimpi::FaultInjector replaying this plan (restarts
   /// run fault-free, so a killed rank cannot be killed again forever).
@@ -141,20 +117,6 @@ struct EngineOptions {
   /// dpgen.checkpoint.v1 file before running — resume an earlier run of
   /// the same problem/params.
   std::string resume_checkpoint_path;
-  /// When non-empty, continuous profiling is enabled for this run: every
-  /// worker thread arms a sampling timer and a hardware-counter group
-  /// (obs/profile.hpp) and the aggregated dpgen.profile.v1 document is
-  /// written here (tools/profile_schema.json).  "-" profiles without
-  /// writing a file (the document still lands in EngineResult::profile).
-  std::string profile_path;
-  /// Sampling frequency per worker thread, Hz (clamped to [1, 10000]).
-  double profile_hz = 97.0;
-  /// Force the counter groups into CLOCK_THREAD_CPUTIME mode even when
-  /// perf events are available (test knob for the degradation path).
-  bool profile_force_cputime = false;
-  /// Label stamped into the profile document (family name for the cost
-  /// table); defaults to "engine" when empty.
-  std::string profile_problem;
 };
 
 struct EngineResult {
@@ -166,10 +128,10 @@ struct EngineResult {
   /// every location and its (lex-smallest) coordinates.
   double max_value = 0.0;
   IntVec max_point;
-  /// Filled when EngineOptions::report_json_path is set: the analyzed
+  /// Filled when EngineOptions::obs.report is set: the analyzed
   /// performance report for this run.
   std::optional<obs::AnalysisReport> report;
-  /// Filled when EngineOptions::monitor_path is set: ranks the online
+  /// Filled when EngineOptions::obs.monitor is set: ranks the online
   /// detector flagged as stragglers (empty on a balanced run).
   std::vector<obs::StragglerFlag> stragglers;
   /// Fault-tolerance outcome: restart attempts actually taken, the ranks
@@ -178,7 +140,7 @@ struct EngineResult {
   int restarts = 0;
   std::vector<int> failed_ranks;
   minimpi::FaultStats fault_stats;
-  /// Filled when EngineOptions::profile_path is set: the aggregated
+  /// Filled when EngineOptions::obs.profile is set: the aggregated
   /// sampling-profile / cost-model document for this run.
   std::optional<obs::ProfileDoc> profile;
 

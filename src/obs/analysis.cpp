@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -674,14 +673,6 @@ std::string report_text(const AnalysisReport& r) {
                  " of the makespan\n");
   }
   return out;
-}
-
-void write_report_json(const std::string& path,
-                       const AnalysisReport& report) {
-  std::ofstream out(path);
-  DPGEN_CHECK(out.good(), cat("cannot open report output '", path, "'"));
-  out << report_json(report);
-  DPGEN_CHECK(out.good(), cat("error writing report '", path, "'"));
 }
 
 // ---- report diffing -------------------------------------------------------

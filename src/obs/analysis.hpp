@@ -19,9 +19,9 @@
 //   3. Communication matrix — the per-peer minimpi counters rendered as
 //      a rank x rank bytes/messages matrix with row/column totals.
 //
-// One analyzer serves every producer: engine runs
-// (EngineOptions::report_json_path), generated programs (--report=FILE),
-// the cluster simulator's replayed timelines (sim::analysis_input), and
+// One analyzer serves every producer: engine runs, generated programs
+// and the cluster simulator's replayed timelines (all through
+// obs::Session's SessionOptions::report / --report=FILE), and
 // re-ingested trace files (tools/dpgen-analyze --trace).  The JSON shape
 // is schema-stable ("dpgen.report.v1", tools/report_schema.json).
 
@@ -182,10 +182,6 @@ std::string report_json(const AnalysisReport& report);
 
 /// Human-readable rendering (the CLI's default output).
 std::string report_text(const AnalysisReport& report);
-
-/// Writes report_json to `path` (throws dpgen::Error on I/O failure).
-void write_report_json(const std::string& path,
-                       const AnalysisReport& report);
 
 // ---- report diffing -------------------------------------------------------
 //

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <thread>
 
+#include "obs/session.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 
@@ -242,10 +243,7 @@ std::string bench_json(const BenchDoc& doc) {
 }
 
 void write_bench_json(const std::string& path, const BenchDoc& doc) {
-  std::ofstream out(path);
-  DPGEN_CHECK(out.good(), cat("cannot open '", path, "' for writing"));
-  out << bench_json(doc) << "\n";
-  DPGEN_CHECK(out.good(), cat("failed writing '", path, "'"));
+  write_document(path, bench_json(doc) + "\n");
 }
 
 BenchDoc parse_bench_doc(const json::Value& doc) {

@@ -1,7 +1,6 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 
 #include "support/error.hpp"
@@ -101,24 +100,6 @@ std::string chrome_trace_json(const std::vector<Span>& spans,
   out += cat("\n],\"displayTimeUnit\":\"ms\",\"metadata\":{\"spans_dropped\":",
              dropped, "}}\n");
   return out;
-}
-
-void write_chrome_trace(const std::string& path,
-                        const std::vector<Span>& spans,
-                        std::uint64_t dropped,
-                        const std::vector<MsgRecord>& msgs) {
-  std::ofstream out(path);
-  DPGEN_CHECK(out.good(), cat("cannot open trace output '", path, "'"));
-  out << chrome_trace_json(spans, dropped, msgs);
-  DPGEN_CHECK(out.good(), cat("error writing trace '", path, "'"));
-}
-
-void write_metrics_json(const std::string& path,
-                        const MetricsRegistry& registry) {
-  std::ofstream out(path);
-  DPGEN_CHECK(out.good(), cat("cannot open metrics output '", path, "'"));
-  out << registry.to_json();
-  DPGEN_CHECK(out.good(), cat("error writing metrics '", path, "'"));
 }
 
 }  // namespace dpgen::obs

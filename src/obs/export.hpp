@@ -1,5 +1,5 @@
 #pragma once
-// Trace / metrics exporters.
+// Trace exporter.
 //
 // chrome_trace_json renders spans in the Chrome trace-event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/msgtrace.hpp"
 #include "obs/trace.hpp"
 
@@ -28,16 +27,5 @@ namespace dpgen::obs {
 std::string chrome_trace_json(const std::vector<Span>& spans,
                               std::uint64_t dropped = 0,
                               const std::vector<MsgRecord>& msgs = {});
-
-/// Writes chrome_trace_json(spans, dropped, msgs) to `path` (throws
-/// dpgen::Error on I/O failure).
-void write_chrome_trace(const std::string& path,
-                        const std::vector<Span>& spans,
-                        std::uint64_t dropped = 0,
-                        const std::vector<MsgRecord>& msgs = {});
-
-/// Writes the registry's JSON dump to `path`.
-void write_metrics_json(const std::string& path,
-                        const MetricsRegistry& registry);
 
 }  // namespace dpgen::obs

@@ -4,7 +4,6 @@
 #include "obs/msgtrace.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <unordered_set>
 #include <utility>
@@ -269,14 +268,6 @@ std::string msgtrace_json(const MsgTraceInput& input) {
   w.end_array();
   w.end_object();
   return w.str();
-}
-
-void write_msgtrace_json(const std::string& path,
-                         const MsgTraceInput& input) {
-  std::ofstream out(path);
-  DPGEN_CHECK(out.good(), cat("cannot open msgtrace file '", path, "'"));
-  out << msgtrace_json(input) << '\n';
-  DPGEN_CHECK(out.good(), cat("error writing msgtrace file '", path, "'"));
 }
 
 }  // namespace dpgen::obs

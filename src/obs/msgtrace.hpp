@@ -182,7 +182,4 @@ struct MsgTraceInput {
 /// the (possibly truncated) record array.
 std::string msgtrace_json(const MsgTraceInput& input);
 
-/// msgtrace_json to a file; throws dpgen::Error on I/O failure.
-void write_msgtrace_json(const std::string& path, const MsgTraceInput& input);
-
 }  // namespace dpgen::obs

@@ -8,7 +8,6 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <utility>
 
@@ -389,13 +388,6 @@ std::string profile_json(const ProfileDoc& doc) {
   w.end_array();
   w.end_object();
   return w.str();
-}
-
-void write_profile_json(const std::string& path, const ProfileDoc& doc) {
-  std::ofstream out(path);
-  DPGEN_CHECK(out.good(), cat("profile: cannot open '", path, "'"));
-  out << profile_json(doc) << "\n";
-  DPGEN_CHECK(out.good(), cat("profile: error writing '", path, "'"));
 }
 
 ProfileDoc parse_profile_doc(const json::Value& v) {

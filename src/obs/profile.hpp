@@ -30,10 +30,10 @@
 // counts and per-problem-family derived metrics (IPC, cycles/cell,
 // misses/cell) against the Ehrhart-predicted cell count.
 //
-// Wiring (the same four ways every obs layer ships): EngineOptions::
-// {profile_path,profile_hz}, generated programs' --profile=/--profile-hz=,
-// sim synthetic profiles from DES time, and dpgen-top live IPC /
-// cycles-per-cell columns via Profiler::rank_totals.
+// Wiring: obs::Session arms it for the engine and generated programs
+// (SessionOptions::profile / --profile=, obs/session.hpp), the simulator
+// synthesises the same document from DES time, and dpgen-top reads live
+// IPC / cycles-per-cell columns via Profiler::rank_totals.
 
 #include <array>
 #include <atomic>
@@ -136,9 +136,8 @@ struct ProfileDoc {
   std::vector<ProfileFamily> families;
 };
 
-/// Renders / writes / parses the schema-stable document.
+/// Renders / parses the schema-stable document.
 std::string profile_json(const ProfileDoc& doc);
-void write_profile_json(const std::string& path, const ProfileDoc& doc);
 ProfileDoc parse_profile_doc(const json::Value& doc);
 
 /// Self-contained HTML icicle (flame) view of the folded stacks, one

@@ -82,16 +82,6 @@ void Tracer::record(Phase phase, std::int64_t start_ns, std::int64_t end_ns,
   buf.head.store(head + 1, std::memory_order_release);
 }
 
-void Tracer::record_raw(const Span& span) {
-  if (!enabled()) return;
-  ThreadBuffer& buf = local_buffer();
-  const std::uint64_t head = buf.head.load(std::memory_order_relaxed);
-  buf.ring[head % kRingCapacity] = span;
-  if (head >= kRingCapacity)
-    buf.dropped.fetch_add(1, std::memory_order_relaxed);
-  buf.head.store(head + 1, std::memory_order_release);
-}
-
 void Tracer::collect_into(const ThreadBuffer& buf, bool filter, int want_rank,
                           std::vector<Span>* out) const {
   const std::uint64_t head = buf.head.load(std::memory_order_acquire);

@@ -129,10 +129,6 @@ class Tracer {
   void record(Phase phase, std::int64_t start_ns, std::int64_t end_ns,
               const IntVec* tile = nullptr);
 
-  /// Records a fully specified span (the cluster simulator uses this to
-  /// write its simulated schedule through the same API).
-  void record_raw(const Span& span);
-
   /// Snapshot of every span recorded with exactly this rank (use -1 for
   /// spans recorded outside any rank, e.g. setup phases).  Writers for
   /// that rank must have quiesced (joined / past a barrier).

@@ -42,7 +42,9 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -53,6 +55,7 @@
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
 #include "obs/profile.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/checkpoint.hpp"
@@ -184,6 +187,21 @@ struct RunStats {
   std::uint64_t bytes_sent = 0;
   std::uint64_t blocked_sends = 0;
 };
+
+/// The facts of a finished run that obs::Session::finish needs from the
+/// message layer and the per-rank statistics; the front end adds the
+/// predicted work, edge offsets, fault counts and passes.
+inline obs::RunFacts run_facts(const minimpi::World& world,
+                               const std::vector<RunStats>& stats) {
+  obs::RunFacts f;
+  f.nranks = world.size();
+  f.bytes_matrix = world.bytes_matrix();
+  f.messages_matrix = world.messages_matrix();
+  f.sent_matrix = world.sent_matrix();
+  for (const RunStats& s : stats)
+    f.table_duplicates += s.table.duplicate_edges;
+  return f;
+}
 
 namespace detail {
 
@@ -326,6 +344,70 @@ struct DriverMetrics {
   }
 };
 
+/// The last tile each worker completed, read only by the stall-abort
+/// message: one seqlock slot per worker (its single writer), so the tile
+/// path takes no lock.  Slots are whole cache lines, so workers never
+/// share one.  Release/acquire element accesses stand in for fences,
+/// which ThreadSanitizer cannot model.  Allocated once per run.
+class LastTileSlots {
+ public:
+  LastTileSlots(int workers, int dim)
+      : dim_(static_cast<std::size_t>(dim)),
+        lines_per_slot_((dim_ + 2 + kPerLine - 1) / kPerLine),
+        lines_(static_cast<std::size_t>(workers) * lines_per_slot_) {}
+
+  /// Records `worker`'s latest completion, stamped `at_ns` (> 0) to order
+  /// it among all workers' completions.
+  void record(int worker, const IntVec& tile, std::int64_t at_ns) {
+    std::atomic<Int>& seq = cell(worker, 0);
+    const Int s = seq.load(std::memory_order_relaxed);
+    seq.store(s + 1, std::memory_order_relaxed);
+    cell(worker, 1).store(at_ns, std::memory_order_release);
+    for (std::size_t k = 0; k < dim_; ++k)
+      cell(worker, 2 + k).store(tile[k], std::memory_order_release);
+    seq.store(s + 2, std::memory_order_release);
+  }
+
+  /// "(c0,c1,...)" of the latest completion; "(none)" before the first.
+  std::string latest() {
+    Int best_ns = 0;
+    std::string best = "(none)";
+    for (int w = 0; w * lines_per_slot_ < lines_.size(); ++w) {
+      for (;;) {  // retry a read that raced its writer
+        const Int s = cell(w, 0).load(std::memory_order_acquire);
+        const Int at_ns = cell(w, 1).load(std::memory_order_acquire);
+        std::string coords = "(";
+        for (std::size_t k = 0; k < dim_; ++k)
+          coords += cat(k ? "," : "",
+                        cell(w, 2 + k).load(std::memory_order_acquire));
+        if (s % 2 != 0 || cell(w, 0).load(std::memory_order_relaxed) != s)
+          continue;
+        if (at_ns > best_ns) {
+          best_ns = at_ns;
+          best = coords + ")";
+        }
+        break;
+      }
+    }
+    return best;
+  }
+
+ private:
+  static constexpr std::size_t kPerLine = 8;
+  struct alignas(64) Line {
+    std::atomic<Int> v[kPerLine];
+  };
+  /// Element `e` of a worker's slot: [seq, at_ns, coords...].
+  std::atomic<Int>& cell(int worker, std::size_t e) {
+    return lines_[static_cast<std::size_t>(worker) * lines_per_slot_ +
+                  e / kPerLine]
+        .v[e % kPerLine];
+  }
+  std::size_t dim_;
+  std::size_t lines_per_slot_;
+  std::vector<Line> lines_;
+};
+
 }  // namespace detail
 
 /// Executes one rank's share of the problem.  Returns per-rank statistics.
@@ -413,8 +495,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   // feeds RankSnapshot::active_workers so the straggler detector can tell
   // "busy inside a long kernel" apart from "dependency-starved".
   std::atomic<int> busy_workers{0};
-  std::mutex diag_mu;
-  IntVec last_tile_completed;  // empty until the first tile finishes
+  detail::LastTileSlots last_tiles(opt.threads, dim);
   // Wire buffers are recycled rank-wide: try_recv frees a message's buffer
   // into this pool and the next remote pack reuses it, so a pipelined
   // exchange settles into zero wire allocations per edge.
@@ -503,11 +584,13 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
           ed.msg.pack_ns = msg->env.pack_ns;
           ed.msg.send_ns = msg->env.send_ns;
           ed.msg.admit_ns = msg->env.admit_ns;
-          // One stamp per drain sweep: every message pulled while the
-          // poll lock is held was sitting in the mailbox at the same
-          // instant, so they share a deliver time (and the hot path pays
-          // one clock read per sweep, not per message).
-          if (batch_deliver_ns == 0) batch_deliver_ns = obs::MsgTracer::now_ns();
+          // One stamp per drain sweep: messages pulled while the poll lock
+          // is held share a deliver time, so the hot path pays one clock
+          // read per sweep, not per message.  A message admitted after
+          // the sweep's stamp (a sender raced the drain) takes a fresh
+          // one, keeping admit <= deliver.
+          if (batch_deliver_ns < msg->env.admit_ns)
+            batch_deliver_ns = obs::MsgTracer::now_ns();
           ed.msg.deliver_ns = batch_deliver_ns;
           ed.msg.bytes = static_cast<std::int64_t>(msg->payload.size());
           ed.msg.src = static_cast<std::int16_t>(msg->source);
@@ -547,7 +630,9 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
         if (!idling) {
           idling = true;
           idle_since = Clock::now();
-          idle_frame = obs::profile_frame_push(obs::Phase::kIdle);
+          // A hand-kept span frame: compiled out with the span hooks.
+          idle_frame = obs::kTraceCompiled &&
+                       obs::profile_frame_push(obs::Phase::kIdle);
         }
         if (poll()) {
           progress_marker.fetch_add(1);
@@ -613,17 +698,6 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
             }
             if (waited > opt.stall_timeout_seconds) {
               const TableSnapshot snap = table.snapshot();
-              std::string last = "(none)";
-              {
-                std::lock_guard<std::mutex> lock(diag_mu);
-                if (!last_tile_completed.empty()) {
-                  last = "(";
-                  for (std::size_t k = 0; k < last_tile_completed.size();
-                       ++k)
-                    last += cat(k ? "," : "", last_tile_completed[k]);
-                  last += ")";
-                }
-              }
               raise(cat(
                   "runtime stalled: no tile became ready within the stall "
                   "timeout (likely a scheduling bug or a dead peer rank); "
@@ -632,7 +706,8 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
                   " buffered_edges=", snap.buffered_edges, " executed=",
                   done.load(), "/", owned, " owned tiles, blocked_senders=",
                   blocked_senders.load(), " (", comm.blocked_sends(),
-                  " blocked sends so far), last tile completed: ", last));
+                  " blocked sends so far), last tile completed: ",
+                  last_tiles.latest()));
             }
           }
         }
@@ -722,15 +797,17 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
       }
 
       // 3. execute
+      Clock::time_point exec_end;
       {
         obs::ScopedSpan span(obs::Phase::kTileExecute, &ready->tile);
         const bool prof_window =
             opt.profile && obs::Profiler::tile_begin();
         const auto t0 = Clock::now();
         hooks.execute_tile(ready->tile, buffer.data());
+        exec_end = Clock::now();
         const std::int64_t exec_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - t0)
+            std::chrono::duration_cast<std::chrono::nanoseconds>(exec_end -
+                                                                 t0)
                 .count();
         if (opt.profile)
           obs::Profiler::tile_end(prof_window,
@@ -740,10 +817,11 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
       }
       hooks.on_tile_executed(ready->tile, buffer.data());
       ++local.tiles_executed;
-      {
-        std::lock_guard<std::mutex> lock(diag_mu);
-        last_tile_completed.assign(ready->tile.begin(), ready->tile.end());
-      }
+      last_tiles.record(
+          worker_id, ready->tile,
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              exec_end.time_since_epoch())
+              .count());
 
       // 4. pack and route each valid outgoing edge
       for (int e = 0; e < num_edges; ++e) {
@@ -978,13 +1056,13 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   // would be mirrored across real MPI ranks by the launcher).
   if (obs::Tracer::instance().enabled()) {
     obs::ScopedSpan span(obs::Phase::kGather);
-    obs::gather_and_merge(comm);
+    obs::gather_and_merge(obs::Tracer::instance(), comm);
   }
   // Message records ride the same collective path (the enable flag is
   // process-wide, so every rank takes this branch together or not at all).
   if (obs::MsgTracer::instance().enabled()) {
     obs::ScopedSpan span(obs::Phase::kGather);
-    obs::gather_and_merge_msgs(comm);
+    obs::gather_and_merge(obs::MsgTracer::instance(), comm);
   }
 #endif
   return stats;

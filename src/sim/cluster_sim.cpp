@@ -9,8 +9,6 @@
 
 #include <cmath>
 
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 
@@ -89,9 +87,13 @@ SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
   long long seq = 0;
 
   SimResult result;
-  const bool msg_trace = !cfg.msgtrace_path.empty();
-  const bool record_timeline = cfg.record_timeline ||
-                               !cfg.report_json_path.empty() || msg_trace;
+  const obs::RunIdentity id{"sim", model.problem().problem_name(), params};
+  std::vector<double> predicted_work;
+  for (int r = 0; r < cfg.nodes; ++r)
+    predicted_work.push_back(static_cast<double>(balancer.owned_work(r)));
+  const bool msg_trace = !cfg.obs.msgtrace.empty();
+  const bool record_timeline =
+      cfg.record_timeline || cfg.obs.tracing() || msg_trace;
   result.bytes_matrix.assign(
       static_cast<std::size_t>(cfg.nodes),
       std::vector<std::uint64_t>(static_cast<std::size_t>(cfg.nodes), 0));
@@ -100,7 +102,7 @@ SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
       std::vector<std::uint64_t>(static_cast<std::size_t>(cfg.nodes), 0));
   long long global_edges = 0;
   // Per-link sequence counters for synthesized message records; simulated
-  // seconds map to trace nanoseconds (same scale as trace_timeline).
+  // seconds map to trace nanoseconds (same scale as the replayed spans).
   std::map<std::pair<int, int>, std::int64_t> link_seq;
   auto sim_ns = [](double t) { return static_cast<std::int64_t>(t * 1e9); };
 
@@ -116,30 +118,19 @@ SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
   // Live monitoring against DES time: the event loop publishes synthetic
   // heartbeats at every interval boundary it crosses, so detector
   // behaviour is exactly reproducible (no sampler thread, no wall clock).
-  std::optional<obs::Monitor> monitor;
-  double monitor_interval = cfg.monitor_interval_s;
-  if (!cfg.events_path.empty()) {
-    if (monitor_interval <= 0) {
-      // Predicted makespan (balanced-compute estimate) split ~32 ways.
-      double cells = 0.0;
-      for (int r = 0; r < cfg.nodes; ++r)
-        cells += static_cast<double>(balancer.owned_work(r));
-      monitor_interval = std::max(
-          cells * cfg.sec_per_cell / (cfg.nodes * cfg.cores_per_node) / 32.0,
-          cfg.sec_per_cell);
-    }
-    obs::MonitorOptions mopt;
-    mopt.nranks = cfg.nodes;
-    mopt.interval_s = monitor_interval;
-    if (cfg.events_path != "-") mopt.events_path = cfg.events_path;
-    for (int r = 0; r < cfg.nodes; ++r)
-      mopt.predicted_work.push_back(
-          static_cast<double>(balancer.owned_work(r)));
-    mopt.sampler_thread = false;
-    mopt.source = "sim";
-    mopt.problem = model.problem().problem_name();
-    monitor.emplace(std::move(mopt));
+  obs::SessionOptions mon_opt = cfg.obs;
+  if (mon_opt.monitor_interval <= 0) {
+    // Predicted makespan (balanced-compute estimate) split ~32 ways.
+    double cells = 0.0;
+    for (double w : predicted_work) cells += w;
+    mon_opt.monitor_interval = std::max(
+        cells * cfg.sec_per_cell / (cfg.nodes * cfg.cores_per_node) / 32.0,
+        cfg.sec_per_cell);
   }
+  const double monitor_interval = mon_opt.monitor_interval;
+  std::unique_ptr<obs::Monitor> monitor =
+      obs::open_monitor(mon_opt, id, cfg.nodes, predicted_work,
+                        /*append=*/false, /*sampler_thread=*/false);
   auto publish_all = [&](std::vector<NodeState>& ns, double t) {
     for (int n = 0; n < cfg.nodes; ++n) {
       const NodeState& node = ns[static_cast<std::size_t>(n)];
@@ -303,31 +294,11 @@ SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
   }
 
   if (monitor) {
-    // Final heartbeat at the makespan (all tables drained), final
-    // detector pass, run_end event.
+    // Final heartbeat at the makespan (all tables drained); the DES clock
+    // then drives the final detector pass and the run_end event.
     publish_all(nodes, makespan);
     monitor->stop(makespan);
     result.stragglers = monitor->stragglers();
-  }
-
-  if (cfg.trace_timeline && obs::Tracer::instance().enabled()) {
-    // Replay the simulated schedule through the span API: one
-    // tile-execute span per TileSpan, simulated seconds mapped to trace
-    // nanoseconds, so real and simulated timelines share one viewer.
-    obs::Tracer& tracer = obs::Tracer::instance();
-    for (const TileSpan& ts : result.timeline) {
-      obs::Span s;
-      s.start_ns = static_cast<std::int64_t>(ts.start * 1e9);
-      s.end_ns = static_cast<std::int64_t>(ts.end * 1e9);
-      s.rank = static_cast<std::int16_t>(ts.node);
-      s.thread = static_cast<std::int16_t>(ts.core);
-      s.phase = obs::Phase::kTileExecute;
-      s.ncoord = static_cast<std::uint8_t>(
-          std::min<std::size_t>(ts.tile.size(), obs::kMaxSpanDims));
-      for (std::size_t k = 0; k < s.ncoord; ++k)
-        s.coord[k] = static_cast<std::int32_t>(ts.tile[k]);
-      tracer.record_raw(s);
-    }
   }
 
   result.makespan = makespan;
@@ -362,39 +333,50 @@ SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
           std::max(m.deliver_ns, sim_ns(it->second->start));
       m.dst_thread = static_cast<std::int16_t>(it->second->core);
     }
-    if (cfg.msgtrace_path != "-") {
-      obs::MsgTraceInput min;
-      min.records = result.msg_records;
-      min.nranks = cfg.nodes;
-      min.sent_matrix = result.messages_matrix;
-      min.source = "sim";
-      min.problem = model.problem().problem_name();
-      min.params = params;
-      obs::write_msgtrace_json(cfg.msgtrace_path, min);
-    }
   }
 
-  if (!cfg.report_json_path.empty())
-    obs::write_report_json(cfg.report_json_path,
-                           obs::analyze(analysis_input(result, model, params,
-                                                       cfg)));
-
-  if (!cfg.profile_path.empty()) {
+  // The documents go through the session writer, from synthesised
+  // telemetry: the replayed timeline, the DES message records, the
+  // synthetic profile.
+  obs::RunFacts facts;
+  facts.nranks = cfg.nodes;
+  facts.predicted_work = std::move(predicted_work);
+  for (const auto& e : model.edges()) facts.edge_offsets.push_back(e.offset);
+  facts.bytes_matrix = result.bytes_matrix;
+  facts.messages_matrix = result.messages_matrix;
+  facts.sent_matrix = result.messages_matrix;
+  obs::SessionResult docs;
+  // Simulated seconds become trace nanoseconds, node -> rank, core ->
+  // thread, so simulated and real timelines share one viewer.
+  for (const TileSpan& ts : result.timeline) {
+    if (!cfg.obs.tracing()) break;  // no trace or report asked for
+    obs::Span& sp = docs.spans.emplace_back();
+    sp.start_ns = sim_ns(ts.start);
+    sp.end_ns = sim_ns(ts.end);
+    sp.rank = static_cast<std::int16_t>(ts.node);
+    sp.thread = static_cast<std::int16_t>(ts.core);
+    sp.phase = obs::Phase::kTileExecute;
+    sp.ncoord = static_cast<std::uint8_t>(
+        std::min<std::size_t>(ts.tile.size(), obs::kMaxSpanDims));
+    for (std::size_t k = 0; k < sp.ncoord; ++k)
+      sp.coord[k] = static_cast<std::int32_t>(ts.tile[k]);
+  }
+  docs.msg_traced = msg_trace;
+  docs.msg_records = std::move(result.msg_records);
+  if (!cfg.obs.profile.empty()) {
     // Synthetic profile: what a sampling profiler at profile_hz would have
     // seen, derived deterministically from DES time — per-node busy time
     // becomes tile_execute samples, the rest of the capacity becomes idle
     // samples, and the counter channel carries simulated nanoseconds.
-    obs::ProfileDoc doc;
-    doc.source = "sim";
-    doc.problem =
-        cfg.problem_name.empty() ? model.problem().problem_name()
-                                 : cfg.problem_name;
+    obs::ProfileDoc& doc = docs.profile.emplace();
+    doc.source = id.source;
+    doc.problem = id.problem;
     doc.params = params;
     // Simulated makespans are often milliseconds, where a wall-clock-ish
     // rate would round every node to zero samples; the synthetic sampler
     // raises the rate until the run yields ~1000 samples of resolution
     // (deterministic — it only depends on the makespan).
-    double hz = cfg.profile_hz;
+    double hz = cfg.obs.profile_hz;
     const double capacity_total =
         makespan * cfg.cores_per_node * cfg.nodes;
     if (capacity_total > 0 && capacity_total * hz < 1000.0)
@@ -406,8 +388,7 @@ SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
     obs::ProfileFamily fam;
     fam.name = doc.problem;
     double predicted = 0.0;
-    for (int n = 0; n < cfg.nodes; ++n)
-      predicted += static_cast<double>(balancer.owned_work(n));
+    for (double w : facts.predicted_work) predicted += w;
     fam.predicted_cells = predicted;
     fam.tiles = result.tiles;
     fam.cells = static_cast<long long>(predicted);
@@ -441,42 +422,12 @@ SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
       doc.threads.push_back(ts);
     }
     doc.families.push_back(std::move(fam));
-    obs::write_profile_json(cfg.profile_path, doc);
   }
+  obs::write_documents(cfg.obs, id, facts, docs);
+  result.msg_records = std::move(docs.msg_records);
+  result.report = std::move(docs.report);
+  result.profile = std::move(docs.profile);
   return result;
-}
-
-obs::AnalysisInput analysis_input(const SimResult& result,
-                                  const tiling::TilingModel& model,
-                                  const IntVec& params,
-                                  const ClusterConfig& cfg) {
-  obs::AnalysisInput in;
-  in.source = "sim";
-  in.problem = model.problem().problem_name();
-  in.params = params;
-  in.nranks = cfg.nodes;
-  for (const auto& e : model.edges()) in.edge_offsets.push_back(e.offset);
-  tiling::LoadBalancer balancer(model, params, cfg.nodes, cfg.balance);
-  for (int r = 0; r < cfg.nodes; ++r)
-    in.predicted_work.push_back(static_cast<double>(balancer.owned_work(r)));
-  in.bytes_matrix = result.bytes_matrix;
-  in.messages_matrix = result.messages_matrix;
-  in.msg_records = result.msg_records;
-  in.spans.reserve(result.timeline.size());
-  for (const TileSpan& ts : result.timeline) {
-    obs::Span s;
-    s.start_ns = static_cast<std::int64_t>(ts.start * 1e9);
-    s.end_ns = static_cast<std::int64_t>(ts.end * 1e9);
-    s.rank = static_cast<std::int16_t>(ts.node);
-    s.thread = static_cast<std::int16_t>(ts.core);
-    s.phase = obs::Phase::kTileExecute;
-    s.ncoord = static_cast<std::uint8_t>(
-        std::min<std::size_t>(ts.tile.size(), obs::kMaxSpanDims));
-    for (std::size_t k = 0; k < s.ncoord; ++k)
-      s.coord[k] = static_cast<std::int32_t>(ts.tile[k]);
-    in.spans.push_back(s);
-  }
-  return in;
 }
 
 std::vector<double> utilization_profile(const SimResult& result,

@@ -16,8 +16,7 @@
 // claims (Fig. 4): it tracks the peak number of buffered tile edges under
 // the column-major and level-set priorities.
 
-#include "obs/analysis.hpp"
-#include "obs/monitor.hpp"
+#include "obs/session.hpp"
 #include "runtime/order.hpp"
 #include "tiling/balance.hpp"
 #include "tiling/model.hpp"
@@ -40,46 +39,24 @@ struct ClusterConfig {
   tiling::BalanceMethod balance = tiling::BalanceMethod::kPerDimension;
   /// Record one TileSpan per executed tile (timeline analysis).
   bool record_timeline = false;
-  /// Also push the recorded timeline through obs::Tracer (simulated
-  /// seconds become trace nanoseconds, node -> rank, core -> thread), so
-  /// a simulated schedule exports to the same Perfetto timeline as a real
-  /// run.  Requires record_timeline and an enabled tracer.
-  bool trace_timeline = false;
-  /// When non-empty, a timeline is recorded (record_timeline is implied)
-  /// and the simulated schedule is pushed through the same performance
-  /// analyzer as real runs (obs/analysis.hpp); the report JSON is written
-  /// here.
-  std::string report_json_path;
-  /// When non-empty, the DES synthesizes one causal message record per
-  /// remote edge (pack/send/admit at the producer's completion, deliver
-  /// after the modelled link latency, unpack/dispatch at the consumer's
-  /// execute start) and writes the dpgen.msgtrace.v1 document here ("-" =
-  /// collect into SimResult::msg_records only).  Implies record_timeline.
-  /// Simulated delivery is lossless, so conservation always accounts.
-  std::string msgtrace_path;
   /// Per-node compute slowdown factors (empty = all 1.0): tile cost on
   /// node n is multiplied by node_slowdown[n].  The deterministic
   /// straggler-injection knob for testing the online detector.
   std::vector<double> node_slowdown;
-  /// When non-empty, live monitoring runs against DES time: synthetic
-  /// per-node heartbeats and the online straggler detector
-  /// (obs::Monitor), with events appended here as dpgen.events.v1 JSONL.
-  /// "-" monitors without writing a log (SimResult::stragglers only).
-  std::string events_path;
-  /// Monitor sampling period in *simulated* seconds (0 = auto: the
-  /// predicted makespan split into ~32 samples).
-  double monitor_interval_s = 0.0;
-  /// When non-empty, a *synthetic* dpgen.profile.v1 document is derived
-  /// from the simulated timeline and written here (requires
-  /// record_timeline; implied when set): sample counts are DES busy/idle
-  /// time x profile_hz per node, the counter channel reports simulated
-  /// nanoseconds (`counters: "sim"`, `sampler: "synthetic"`).  Lets
-  /// profile consumers (cost table, flame view) be exercised
-  /// deterministically without wall-clock sampling.
-  std::string profile_path;
-  double profile_hz = 997.0;
-  /// Family name stamped into the synthetic profile document.
-  std::string problem_name;
+  /// Observability, synthesised from DES time (docs/observability.md):
+  /// report and trace replay the simulated timeline (record_timeline is
+  /// implied), msgtrace gets one lossless record per remote edge, monitor
+  /// runs the straggler detector on synthetic heartbeats and profile
+  /// derives a synthetic dpgen.profile.v1.  monitor_interval is in
+  /// simulated seconds (0 = auto: the predicted makespan split ~32 ways)
+  /// and profile_hz defaults to 997 (raised until a run yields ~1000
+  /// samples).  "-" writes no file; everything still lands in SimResult.
+  obs::SessionOptions obs = [] {
+    obs::SessionOptions o;
+    o.monitor_interval = 0.0;
+    o.profile_hz = 997.0;
+    return o;
+  }();
 };
 
 /// One executed tile in the recorded timeline.
@@ -108,8 +85,8 @@ struct SimResult {
   /// Per-tile execution spans (only when ClusterConfig::record_timeline).
   std::vector<TileSpan> timeline;
   /// Synthesized per-message lifecycle records (only when
-  /// ClusterConfig::msgtrace_path is set); they feed the report's
-  /// msgtrace section through analysis_input.
+  /// ClusterConfig::obs.msgtrace is set); they also feed the report's
+  /// msgtrace section.
   std::vector<obs::MsgRecord> msg_records;
   /// node x node simulated traffic, [source][destination].  Bytes assume
   /// 8-byte wire scalars (edge capacity x sizeof(double)), matching the
@@ -117,8 +94,12 @@ struct SimResult {
   std::vector<std::vector<std::uint64_t>> bytes_matrix;
   std::vector<std::vector<std::uint64_t>> messages_matrix;
   /// Nodes the online detector flagged (only when ClusterConfig::
-  /// events_path is set; empty on a balanced run).
+  /// obs.monitor is set; empty on a balanced run).
   std::vector<obs::StragglerFlag> stragglers;
+  /// The report and synthetic profile (only when ClusterConfig::obs.report
+  /// / obs.profile is set).
+  std::optional<obs::AnalysisReport> report;
+  std::optional<obs::ProfileDoc> profile;
 
   /// Speedup of this run relative to a serial execution of the same work.
   double speedup() const {
@@ -133,17 +114,6 @@ struct SimResult {
 /// Simulates one run.  Deterministic: same inputs, same result.
 SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
                    const ClusterConfig& config);
-
-/// Packages a simulated run (requires a recorded timeline) as analyzer
-/// input: the timeline becomes tile-execute spans (simulated seconds ->
-/// trace nanoseconds, node -> rank, core -> thread), the LoadBalancer is
-/// re-derived for the Ehrhart baseline, and the simulated traffic matrices
-/// ride along.  So a predicted schedule and a measured one produce reports
-/// in the same format, side by side.
-obs::AnalysisInput analysis_input(const SimResult& result,
-                                  const tiling::TilingModel& model,
-                                  const IntVec& params,
-                                  const ClusterConfig& config);
 
 /// Fraction of total core capacity busy in each of `buckets` equal time
 /// slices of the run (requires a recorded timeline).  The shape makes

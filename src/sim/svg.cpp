@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 
+#include "obs/session.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 
@@ -171,10 +171,7 @@ std::string series_svg(const std::vector<Series>& series,
 
 void write_timeline_svg(const SimResult& result, const std::string& path,
                         const SvgOptions& options) {
-  std::ofstream out(path);
-  DPGEN_CHECK(out.good(), cat("cannot open '", path, "'"));
-  out << timeline_svg(result, options);
-  DPGEN_CHECK(out.good(), cat("error writing '", path, "'"));
+  obs::write_document(path, timeline_svg(result, options));
 }
 
 }  // namespace dpgen::sim

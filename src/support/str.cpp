@@ -1,7 +1,13 @@
 #include "support/str.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 
+#include "support/error.hpp"
 #include "support/vec.hpp"
 
 namespace dpgen {
@@ -51,6 +57,53 @@ bool is_identifier(const std::string& name) {
   for (char c : name)
     if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_'))
       return false;
+  return true;
+}
+
+bool parse_int(const char* s, long long* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE ||
+      std::isspace(static_cast<unsigned char>(*s)))
+    return false;
+  *out = v;
+  return true;
+}
+
+bool parse_double(const char* s, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v) ||
+      std::isspace(static_cast<unsigned char>(*s)))
+    return false;
+  *out = v;
+  return true;
+}
+
+template <typename T>
+bool int_flag(const char* arg, const char* name, long long min, T* out) {
+  const std::size_t n = std::strlen(name);
+  if (std::strncmp(arg, name, n) != 0) return false;
+  long long v = 0;
+  if (!parse_int(arg + n, &v) || v < min ||
+      v > static_cast<long long>(std::numeric_limits<T>::max()))
+    raise(cat("bad value '", arg + n, "' for ", name,
+              " (expected an integer >= ", min, ")"));
+  *out = static_cast<T>(v);
+  return true;
+}
+template bool int_flag(const char*, const char*, long long, int*);
+template bool int_flag(const char*, const char*, long long, long long*);
+
+bool positive_flag(const char* arg, const char* name, double* out) {
+  const std::size_t n = std::strlen(name);
+  if (std::strncmp(arg, name, n) != 0) return false;
+  double v = 0.0;
+  if (!parse_double(arg + n, &v) || !(v > 0.0))
+    raise(cat("bad value '", arg + n, "' for ", name,
+              " (expected a number > 0)"));
+  *out = v;
   return true;
 }
 

@@ -220,7 +220,7 @@ TEST(Analysis, ReportJsonParsesAndValidatesAgainstSchema) {
 }
 
 // End-to-end invariants on a real 2-rank x 2-thread engine run with the
-// report hook enabled (EngineOptions::report_json_path implies tracing).
+// report hook enabled (EngineOptions::obs.report implies tracing).
 TEST(Analysis, EngineRunReportInvariants) {
   if (!obs::kTraceCompiled) GTEST_SKIP() << "built with DPGEN_TRACE=0";
   obs::MetricsRegistry::instance().reset();
@@ -245,7 +245,7 @@ TEST(Analysis, EngineRunReportInvariants) {
   opt.ranks = 2;
   opt.threads = 2;
   std::string report_path = testing::TempDir() + "/dpgen_report.json";
-  opt.report_json_path = report_path;
+  opt.obs.report = report_path;
 
   auto center = [](const engine::Cell& c) {
     double v = 0.0;
@@ -359,13 +359,13 @@ TEST(Analysis, SimulatedTimelineThroughAnalyzer) {
   sim::ClusterConfig cfg;
   cfg.nodes = 4;
   cfg.cores_per_node = 2;
-  cfg.record_timeline = true;
+  cfg.obs.report = "-";  // analyze the replayed timeline, write no file
   auto sim_result = sim::simulate(model, params, cfg);
   ASSERT_FALSE(sim_result.timeline.empty());
 
-  AnalysisInput in = sim::analysis_input(sim_result, model, params, cfg);
-  EXPECT_EQ(in.source, "sim");
-  AnalysisReport r = obs::analyze(in);
+  ASSERT_TRUE(sim_result.report.has_value());
+  const AnalysisReport& r = *sim_result.report;
+  EXPECT_EQ(r.source, "sim");
   EXPECT_EQ(r.nranks, cfg.nodes);
   // The analyzer measures from the earliest span start, which may sit a
   // tile-overhead after the simulator's t=0.

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -325,6 +328,45 @@ TEST(EndToEnd, GeneratedLcsMatchesOracle) {
     EXPECT_GE(heartbeats, 1);
     std::remove(events.c_str());
   }
+
+  // Continuous profiling: --profile writes a dpgen.profile.v1 document that
+  // validates through the schema registry, the run prints a PROFILE
+  // summary line, and the cost table's predicted cells are the Ehrhart
+  // total work the program reports in STATS.
+  {
+    std::string prof = testing::TempDir() + "/dpgen_lcs_profile.json";
+    auto [pstatus, pout] =
+        run_command(cat(prog.binary, args, " --ranks=2 --threads=2",
+                        " --profile=", prof, " --profile-cputime"));
+    ASSERT_EQ(pstatus, 0) << pout;
+    EXPECT_DOUBLE_EQ(parse_result(pout, p.objective), 4.0) << pout;
+    EXPECT_NE(pout.find("PROFILE samples="), std::string::npos) << pout;
+    const auto work_at = pout.find("total_work=");
+    ASSERT_NE(work_at, std::string::npos) << pout;
+    const double total_work =
+        std::strtod(pout.c_str() + work_at + std::strlen("total_work="),
+                    nullptr);
+    std::ifstream pf(prof);
+    ASSERT_TRUE(pf.good()) << "generated program wrote no profile file";
+    std::stringstream ps;
+    ps << pf.rdbuf();
+    auto pdoc = json::parse(ps.str());
+    const std::string schema_file =
+        json::schema_file_for(pdoc->at("schema").as_string());
+    ASSERT_EQ(schema_file, "profile_schema.json");
+    std::ifstream sf(cat(DPGEN_SRC_DIR, "/../tools/", schema_file));
+    ASSERT_TRUE(sf.good());
+    std::stringstream schema_text;
+    schema_text << sf.rdbuf();
+    for (const auto& e : json::validate(*json::parse(schema_text.str()), *pdoc))
+      ADD_FAILURE() << e;
+    EXPECT_EQ(pdoc->at("source").as_string(), "generated");
+    EXPECT_EQ(pdoc->at("counters").as_string(), "cputime");
+    const auto& families = pdoc->at("families").as_array();
+    ASSERT_EQ(families.size(), 1u);
+    EXPECT_EQ(families[0]->at("predicted_cells").as_number(), total_work);
+    std::remove(prof.c_str());
+  }
 }
 
 TEST(EndToEnd, GeneratedDelayedBanditMatchesOracle) {
@@ -532,6 +574,28 @@ TEST(EndToEnd, GeneratedProgramRejectsBadUsage) {
   EXPECT_NE(out.find("usage:"), std::string::npos);
   auto [status2, out2] = run_command(prog.binary + std::string(" 5 --bogus"));
   EXPECT_NE(status2, 0);
+  // Every malformed parameter or flag value is a usage error: a message
+  // and exit status 2, never a silent default or an uncaught exception.
+  for (const char* bad :
+       {"abc", "5x", "5 --threads=abc", "5 --threads=0", "5 --ranks=0",
+        "5 --shards=0", "5 --capacity=-1", "5 --ranks=2x",
+        "5 --profile-hz=abc", "5 --profile-hz=0",
+        "5 --monitor=- --monitor-interval=0",
+        "5 --monitor=- --monitor-interval=abc", "5 --trace=",
+        "5 --policy=random"}) {
+    auto [st, out] = run_command(cat(prog.binary, " ", bad));
+    ASSERT_TRUE(WIFEXITED(st)) << bad << ": " << out;
+    EXPECT_EQ(WEXITSTATUS(st), 2) << bad << ": " << out;
+    EXPECT_NE(out.find("usage:"), std::string::npos) << bad << ": " << out;
+    EXPECT_EQ(out.find("RESULT"), std::string::npos) << bad << ": " << out;
+  }
+  // Well-formed values still run: negative parameters are legal (an empty
+  // space), and every flag takes its documented form.
+  auto [ok, ok_out] = run_command(
+      cat(prog.binary, " 5 --ranks=2 --threads=2 --shards=1 --capacity=0",
+          " --monitor=- --monitor-interval=0.01 --policy=level"));
+  EXPECT_EQ(ok, 0) << ok_out;
+  EXPECT_NE(ok_out.find("RESULT"), std::string::npos) << ok_out;
 }
 
 }  // namespace

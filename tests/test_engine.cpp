@@ -329,7 +329,7 @@ TEST(EngineFailureInjection, StallTimeoutFires) {
 // ---- live telemetry -----------------------------------------------------
 
 TEST(EngineMonitor, BalancedRunIsQuietAndStillCorrect) {
-  // monitor_path "-" turns monitoring on without an event log.  A
+  // obs.monitor "-" turns monitoring on without an event log.  A
   // balanced in-process run must produce the right answer, at least one
   // heartbeat per rank, and zero straggler flags, and the Monitor must
   // unregister from the hub when the run ends.
@@ -338,8 +338,8 @@ TEST(EngineMonitor, BalancedRunIsQuietAndStillCorrect) {
   opt.ranks = 2;
   opt.threads = 2;
   opt.probes = {{0, 0}};
-  opt.monitor_path = "-";
-  opt.monitor_interval = 0.002;
+  opt.obs.monitor = "-";
+  opt.obs.monitor_interval = 0.002;
   const Int N = 40;
   auto result = run(model, {N}, paths_kernel(), opt);
   EXPECT_DOUBLE_EQ(result.at({0, 0}), binom(2 * N, N));

@@ -609,7 +609,7 @@ TEST(CheckpointEngine, KillWritesCheckpointAndEventsTellTheStory) {
   opt.fault_plan = FaultPlan::parse("kill:2@25");
   opt.checkpoint_json_path = ckpt;
   opt.checkpoint_every_tiles = 4;
-  opt.monitor_path = events;
+  opt.obs.monitor = events;
   const auto result = chaos::run_case(c, opt);
   EXPECT_EQ(chaos::result_lines(result, c.track_max),
             clean_reference(2, 2));

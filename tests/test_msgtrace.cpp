@@ -61,9 +61,9 @@ engine::EngineResult traced_run(const problems::Problem& p,
   engine::EngineOptions opt;
   opt.ranks = 2;
   opt.threads = 2;
-  opt.report_json_path = "-";  // analyzer on, no file
-  opt.msgtrace_json_path = mt_path.empty() ? "-" : mt_path;
-  opt.trace_json_path = trace_path;
+  opt.obs.report = "-";  // analyzer on, no file
+  opt.obs.msgtrace = mt_path.empty() ? "-" : mt_path;
+  opt.obs.trace = trace_path;
   if (!p.objective.empty()) opt.probes = {p.objective};
   return engine::run(model, params, p.kernel, opt);
 }
@@ -297,7 +297,7 @@ TEST(MsgTrace, SimulatedMessagesConserveLosslessly) {
   sim::ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.cores_per_node = 2;
-  cfg.msgtrace_path = path;
+  cfg.obs.msgtrace = path;
   sim::SimResult res = sim::simulate(model, {96, 96}, cfg);
   ASSERT_FALSE(res.msg_records.empty());
 

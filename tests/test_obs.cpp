@@ -222,9 +222,10 @@ TEST(Tracer, SpanSerializationRoundTrips) {
   spans[0].coord[1] = -3;
   spans[2].phase = obs::Phase::kBarrier;
 
-  auto bytes = obs::serialize_spans(spans);
+  auto bytes = obs::serialize_records(spans);
   bytes.resize(bytes.size() + 37);  // gather pads buffers; must tolerate
-  auto back = obs::deserialize_spans(bytes.data(), bytes.size());
+  auto back =
+      obs::deserialize_records<obs::Span>(bytes.data(), bytes.size());
   ASSERT_EQ(back.size(), spans.size());
   EXPECT_EQ(back[0].start_ns, 10);
   EXPECT_EQ(back[0].coord[1], -3);
@@ -301,8 +302,8 @@ TEST(ObsEndToEnd, MultiRankTraceAndConservation) {
   opt.threads = 2;
   std::string trace_path = testing::TempDir() + "/dpgen_obs_trace.json";
   std::string metrics_path = testing::TempDir() + "/dpgen_obs_metrics.json";
-  opt.trace_json_path = trace_path;
-  opt.metrics_json_path = metrics_path;
+  opt.obs.trace = trace_path;
+  opt.obs.metrics = metrics_path;
 
   auto center = [](const engine::Cell& c) {
     double v = 0.0;
@@ -395,6 +396,75 @@ TEST(ObsEndToEnd, UntracedRunRecordsNothing) {
             model.total_tiles({31}));
   EXPECT_TRUE(tracer.collect_all().empty());
   EXPECT_TRUE(tracer.merged().empty());
+}
+
+// ---- session options ------------------------------------------------------
+
+TEST(SessionOptions, ParseFlagAcceptsAllNineFlags) {
+  obs::SessionOptions o;
+  for (const char* flag :
+       {"--trace=t.json", "--metrics=m.json", "--report=-",
+        "--msgtrace=mt.json", "--monitor=ev.jsonl", "--monitor-interval=0.25",
+        "--profile=p.json", "--profile-hz=1997", "--profile-cputime"})
+    EXPECT_TRUE(o.parse_flag(flag)) << flag;
+  EXPECT_EQ(o.trace, "t.json");
+  EXPECT_EQ(o.metrics, "m.json");
+  EXPECT_EQ(o.report, "-");
+  EXPECT_EQ(o.msgtrace, "mt.json");
+  EXPECT_EQ(o.monitor, "ev.jsonl");
+  EXPECT_DOUBLE_EQ(o.monitor_interval, 0.25);
+  EXPECT_EQ(o.profile, "p.json");
+  EXPECT_DOUBLE_EQ(o.profile_hz, 1997.0);
+  EXPECT_TRUE(o.profile_cputime);
+  EXPECT_TRUE(o.tracing());
+}
+
+TEST(SessionOptions, ParseFlagRejectsBadValuesAndIgnoresOthers) {
+  obs::SessionOptions o;
+  for (const char* bad :
+       {"--trace=", "--report=", "--monitor=", "--profile=",
+        "--monitor-interval=0", "--monitor-interval=-1",
+        "--monitor-interval=abc", "--monitor-interval=0.1s",
+        "--monitor-interval=", "--profile-hz=0", "--profile-hz=abc",
+        "--profile-hz=nan", "--profile-hz=inf"})
+    EXPECT_THROW(o.parse_flag(bad), Error) << bad;
+  // A rejected value leaves the setting at its default.
+  EXPECT_DOUBLE_EQ(o.monitor_interval, 0.05);
+  EXPECT_DOUBLE_EQ(o.profile_hz, 97.0);
+  for (const char* other :
+       {"--ranks=2", "--tracer=x", "--profile-cputime=1", "--monitoring",
+        "trace=x", "-"})
+    EXPECT_FALSE(o.parse_flag(other)) << other;
+  EXPECT_FALSE(o.tracing());
+}
+
+TEST(SessionOptions, DashCollectsWithoutWriting) {
+  // Every document path "-" runs its instrument without creating a file.
+  spec::ProblemSpec s;
+  s.name("countdown")
+      .params({"N"})
+      .vars({"x"})
+      .constraint("x >= 0")
+      .constraint("x <= N")
+      .dep("r1", {1})
+      .load_balance({"x"})
+      .tile_widths({4})
+      .center_code("V[loc] = 0.0;");
+  tiling::TilingModel model(s);
+  auto center = [](const engine::Cell& c) {
+    c.V[c.loc] = c.valid[0] ? c.V[c.loc_dep[0]] + 1.0 : 1.0;
+  };
+  engine::EngineOptions opt;
+  opt.ranks = 2;
+  for (std::string* path : {&opt.obs.trace, &opt.obs.metrics,
+                            &opt.obs.report, &opt.obs.msgtrace,
+                            &opt.obs.monitor, &opt.obs.profile})
+    *path = "-";
+  std::remove("-");
+  auto result = engine::run(model, {31}, center, opt);
+  EXPECT_FALSE(std::ifstream("-").good()) << "engine wrote a file named -";
+  EXPECT_TRUE(result.report.has_value());
+  EXPECT_TRUE(result.profile.has_value());
 }
 
 }  // namespace

@@ -46,9 +46,9 @@ ProfileDoc profiled_engine_run(bool force_cputime,
   engine::EngineOptions opt;
   opt.ranks = 2;
   opt.threads = 2;
-  opt.profile_path = path;
-  opt.profile_hz = 1997.0;
-  opt.profile_force_cputime = force_cputime;
+  opt.obs.profile = path;
+  opt.obs.profile_hz = 1997.0;
+  opt.obs.profile_cputime = force_cputime;
   engine::EngineResult r = engine::run(model, {192, 192}, p.kernel, opt);
   EXPECT_TRUE(r.profile.has_value());
   return r.profile ? *r.profile : ProfileDoc{};
@@ -258,8 +258,7 @@ TEST(ProfileSim, SyntheticDocValidates) {
   cfg.nodes = 4;
   cfg.cores_per_node = 2;
   const std::string path = testing::TempDir() + "/prof_sim.json";
-  cfg.profile_path = path;
-  cfg.problem_name = "lcs";
+  cfg.obs.profile = path;
   sim::SimResult r = sim::simulate(model, {96, 96}, cfg);
   EXPECT_GT(r.makespan, 0.0);
 
@@ -276,7 +275,7 @@ TEST(ProfileSim, SyntheticDocValidates) {
   EXPECT_GT(doc.samples_total, 0);
   EXPECT_GT(doc.phase_samples[static_cast<int>(Phase::kTileExecute)], 0);
   ASSERT_EQ(doc.families.size(), 1u);
-  EXPECT_EQ(doc.families[0].name, "lcs");
+  EXPECT_EQ(doc.families[0].name, p.spec.problem_name());
   EXPECT_GT(doc.families[0].predicted_cells, 0.0);
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 
 #include "engine/engine.hpp"
@@ -405,7 +406,7 @@ TEST(SimMonitor, BalancedRunFlagsNoStraggler) {
   ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.cores_per_node = 2;
-  cfg.events_path = "-";  // monitor without an event log
+  cfg.obs.monitor = "-";  // monitor without an event log
   SimResult r = simulate(model, {63}, cfg);
   EXPECT_TRUE(r.stragglers.empty());
 }
@@ -415,7 +416,7 @@ TEST(SimMonitor, SlowedNodeIsFlaggedByName) {
   ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.cores_per_node = 2;
-  cfg.events_path = "-";
+  cfg.obs.monitor = "-";
   cfg.node_slowdown = {1.0, 4.0};
   SimResult r = simulate(model, {63}, cfg);
   ASSERT_FALSE(r.stragglers.empty());
@@ -434,9 +435,9 @@ TEST(SimMonitor, EventLogIsWrittenAndDeterministic) {
   ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.cores_per_node = 2;
-  cfg.events_path = testing::TempDir() + "/dpgen_sim_events.jsonl";
+  cfg.obs.monitor = testing::TempDir() + "/dpgen_sim_events.jsonl";
   SimResult a = simulate(model, {63}, cfg);
-  std::ifstream in(cfg.events_path);
+  std::ifstream in(cfg.obs.monitor);
   ASSERT_TRUE(in.good());
   std::string first;
   ASSERT_TRUE(std::getline(in, first));
@@ -451,14 +452,38 @@ TEST(SimMonitor, EventLogIsWrittenAndDeterministic) {
   EXPECT_NE(last.find("run_end"), std::string::npos);
   EXPECT_GE(lines, 4);  // run_start + >=1 heartbeat per node + run_end
   // DES time drives the monitor, so a rerun reproduces the log exactly.
-  std::remove(cfg.events_path.c_str());
+  std::remove(cfg.obs.monitor.c_str());
   SimResult b = simulate(model, {63}, cfg);
   EXPECT_EQ(a.makespan, b.makespan);
-  std::ifstream in2(cfg.events_path);
+  std::ifstream in2(cfg.obs.monitor);
   long long lines2 = 0;
   while (std::getline(in2, line)) ++lines2;
   EXPECT_EQ(lines, lines2);
-  std::remove(cfg.events_path.c_str());
+  std::remove(cfg.obs.monitor.c_str());
+}
+
+TEST(SimDocuments, DashCollectsWithoutWriting) {
+  // "-" means collect-only for every document, as in the engine and the
+  // generated program: the results land in SimResult and no file named
+  // "-" appears in the working directory.
+  tiling::TilingModel model(grid_spec(4));
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.cores_per_node = 2;
+  cfg.obs.report = "-";
+  cfg.obs.msgtrace = "-";
+  cfg.obs.monitor = "-";
+  cfg.obs.profile = "-";
+  cfg.obs.trace = "-";
+  std::remove("-");
+  SimResult r = simulate(model, {63}, cfg);
+  EXPECT_FALSE(std::ifstream("-").good()) << "simulate wrote a file named -";
+  ASSERT_TRUE(r.report.has_value());
+  EXPECT_EQ(r.report->source, "sim");
+  ASSERT_TRUE(r.profile.has_value());
+  EXPECT_EQ(r.profile->sampler, "synthetic");
+  EXPECT_GT(r.profile->samples_total, 0);
+  EXPECT_EQ(static_cast<long long>(r.msg_records.size()), r.remote_messages);
 }
 
 TEST(SimMonitor, SeriesSvgDrawsTicksAndLegend) {

@@ -13,7 +13,7 @@
 //       problem instead of a measured run.
 //
 //   dpgen-analyze --trace=run_trace.json [--problem=... --params=...]
-//       re-ingests a Chrome trace exported by --trace= / trace_json_path.
+//       re-ingests a Chrome trace exported by --trace= / obs.trace.
 //       Naming the problem restores the tile-dependency offsets and the
 //       Ehrhart baseline; without it the critical path degenerates and the
 //       load-balance audit shows measured shares only.  Per-peer counters
@@ -51,6 +51,7 @@
 #include "minimpi/faults.hpp"
 #include "obs/analysis.hpp"
 #include "obs/profile.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "problems/problems.hpp"
 #include "sim/cluster_sim.hpp"
@@ -308,10 +309,7 @@ int run_diff(const Options& opt) {
   obs::ReportDelta delta = obs::diff_reports(*old_report, *new_report);
   std::fputs(obs::diff_text(delta).c_str(), stdout);
   if (opt.report_path_set) {
-    std::ofstream out(opt.report_path);
-    DPGEN_CHECK(out.good(),
-                cat("cannot open diff output '", opt.report_path, "'"));
-    out << obs::diff_json(delta);
+    obs::write_document(opt.report_path, obs::diff_json(delta));
     std::printf("\ndiff written to %s\n", opt.report_path.c_str());
   }
   return 0;
@@ -353,7 +351,7 @@ int run_trace(const Options& opt) {
                "dpgen-analyze: note: per-peer comm counters are not part "
                "of a trace; the comm matrix is empty\n");
   obs::AnalysisReport report = obs::analyze(in);
-  obs::write_report_json(opt.report_path, report);
+  obs::write_document(opt.report_path, obs::report_json(report));
   std::fputs(obs::report_text(report).c_str(), stdout);
   std::printf("\nreport written to %s\n", opt.report_path.c_str());
   return 0;
@@ -555,10 +553,7 @@ int run_profile(const Options& opt) {
   }
 
   if (!opt.flame_out.empty()) {
-    std::ofstream out(opt.flame_out);
-    DPGEN_CHECK(out.good(),
-                cat("cannot open flame output '", opt.flame_out, "'"));
-    out << obs::profile_flame_html(prof);
+    obs::write_document(opt.flame_out, obs::profile_flame_html(prof));
     std::printf("\nflame view written to %s\n", opt.flame_out.c_str());
   }
 
@@ -850,10 +845,7 @@ int run_msgtrace(const Options& opt) {
       unexplained);
 
   if (!opt.waterfall_out.empty()) {
-    std::ofstream out(opt.waterfall_out);
-    DPGEN_CHECK(out.good(), cat("cannot open waterfall output '",
-                                opt.waterfall_out, "'"));
-    out << waterfall_html(*doc);
+    obs::write_document(opt.waterfall_out, waterfall_html(*doc));
     std::printf("waterfall written to %s\n", opt.waterfall_out.c_str());
   }
   if (violations == 0)
@@ -876,16 +868,12 @@ int run_problem(const Options& opt) {
     sim::ClusterConfig cfg;
     cfg.nodes = opt.nodes;
     cfg.cores_per_node = opt.cores;
-    cfg.record_timeline = true;
-    cfg.profile_path = opt.profile_out;
-    cfg.profile_hz = opt.profile_hz;
-    cfg.problem_name = entry->name;
-    cfg.msgtrace_path = opt.msgtrace_out;
+    cfg.obs.report = opt.report_path;
+    cfg.obs.profile = opt.profile_out;
+    cfg.obs.profile_hz = opt.profile_hz;
+    cfg.obs.msgtrace = opt.msgtrace_out;
     sim::SimResult res = sim::simulate(model, params, cfg);
-    obs::AnalysisReport report =
-        obs::analyze(sim::analysis_input(res, model, params, cfg));
-    obs::write_report_json(opt.report_path, report);
-    std::fputs(obs::report_text(report).c_str(), stdout);
+    std::fputs(obs::report_text(*res.report).c_str(), stdout);
     std::printf("\nreport written to %s\n", opt.report_path.c_str());
     if (!opt.profile_out.empty())
       std::printf("synthetic profile written to %s\n",
@@ -898,13 +886,12 @@ int run_problem(const Options& opt) {
   engine::EngineOptions eopt;
   eopt.ranks = opt.ranks;
   eopt.threads = opt.threads;
-  eopt.report_json_path = opt.report_path;
-  eopt.trace_json_path = opt.trace_out;
-  eopt.profile_path = opt.profile_out;
-  eopt.profile_hz = opt.profile_hz;
-  eopt.profile_force_cputime = opt.profile_cputime;
-  eopt.profile_problem = entry->name;
-  eopt.msgtrace_json_path = opt.msgtrace_out;
+  eopt.obs.report = opt.report_path;
+  eopt.obs.trace = opt.trace_out;
+  eopt.obs.profile = opt.profile_out;
+  eopt.obs.profile_hz = opt.profile_hz;
+  eopt.obs.profile_cputime = opt.profile_cputime;
+  eopt.obs.msgtrace = opt.msgtrace_out;
   if (!opt.faults.empty()) {
     // Chaos leg: inject the plan on the first attempt and let the
     // checkpoint/restart path recover; the msgtrace document carries the

@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "obs/bench_registry.hpp"
+#include "obs/session.hpp"
 #include "sim/svg.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -254,10 +255,7 @@ int run_trend(const Options& opt) {
   }
   html += "</body></html>\n";
 
-  std::ofstream out(opt.trend_path);
-  DPGEN_CHECK(out.good(), cat("cannot open '", opt.trend_path, "'"));
-  out << html;
-  DPGEN_CHECK(out.good(), cat("error writing '", opt.trend_path, "'"));
+  obs::write_document(opt.trend_path, html);
   std::printf("wrote %s (%zu runs, %zu families)\n", opt.trend_path.c_str(),
               docs.size(), families.size());
   return 0;
@@ -288,9 +286,7 @@ int run_gate(const Options& opt, const obs::BenchDoc& run) {
   }
   std::fputs(obs::gate_text(result).c_str(), stdout);
   if (!opt.gate_json_path.empty()) {
-    std::ofstream out(opt.gate_json_path);
-    DPGEN_CHECK(out.good(), cat("cannot open '", opt.gate_json_path, "'"));
-    out << obs::gate_json(result) << "\n";
+    obs::write_document(opt.gate_json_path, obs::gate_json(result) + "\n");
   }
   return result.regressions > 0 ? 1 : 0;
 }

@@ -52,6 +52,7 @@
 #include "engine/engine.hpp"
 #include "minimpi/faults.hpp"
 #include "obs/monitor.hpp"
+#include "obs/session.hpp"
 #include "problems/problems.hpp"
 #include "sim/cluster_sim.hpp"
 #include "sim/svg.hpp"
@@ -262,9 +263,7 @@ void write_html(const std::string& path, const std::string& title,
     html += line;
   }
   html += "</body></html>\n";
-  std::ofstream out(path);
-  DPGEN_CHECK(out.good(), cat("dpgen-top: cannot open '", path, "'"));
-  out << html;
+  obs::write_document(path, html);
 }
 
 /// Counts events in a dpgen.events.v1 JSONL log -> the --check summary.
@@ -319,8 +318,8 @@ int run_engine_top(const Options& opt, const Entry& entry,
   engine::EngineOptions eopt;
   eopt.ranks = opt.ranks;
   eopt.threads = opt.threads;
-  eopt.monitor_path = opt.events_path.empty() ? "-" : opt.events_path;
-  eopt.monitor_interval = opt.interval > 0 ? opt.interval : 0.05;
+  eopt.obs.monitor = opt.events_path.empty() ? "-" : opt.events_path;
+  eopt.obs.monitor_interval = opt.interval > 0 ? opt.interval : 0.05;
   if (!opt.faults.empty()) {
     // Replays a deterministic fault plan (implies fault-tolerant mode):
     // the monitor shows the kill, the restart, and the re-balanced
@@ -339,10 +338,10 @@ int run_engine_top(const Options& opt, const Entry& entry,
     eopt.checkpoint_every_tiles = 8;
   }
   if (opt.profile) {
-    eopt.profile_path = "-";  // collect, don't write
+    eopt.obs.profile = "-";  // collect, don't write
     // Interactive runs are short; sample fast enough that the live
     // table has data on the first refresh.
-    eopt.profile_hz = 997.0;
+    eopt.obs.profile_hz = 997.0;
   }
 
   std::atomic<bool> done{false};
@@ -451,8 +450,8 @@ int run_sim_top(const Options& opt, const Entry& entry,
   sim::ClusterConfig cfg;
   cfg.nodes = opt.nodes;
   cfg.cores_per_node = opt.cores;
-  cfg.events_path = opt.events_path.empty() ? "-" : opt.events_path;
-  cfg.monitor_interval_s = opt.interval;
+  cfg.obs.monitor = opt.events_path.empty() ? "-" : opt.events_path;
+  cfg.obs.monitor_interval = opt.interval;
   if (!opt.slowdown.empty()) {
     cfg.node_slowdown.assign(static_cast<std::size_t>(opt.nodes), 1.0);
     for (std::size_t n = 0; n < opt.slowdown.size() &&
