@@ -216,7 +216,6 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
                                   model.problem().dep_signs(), options.policy);
   ropt.poison_buffers = options.poison_buffers;
   ropt.stall_timeout_seconds = options.stall_timeout_seconds;
-  ropt.profile = session.profiling();
 
   // Fault tolerance: tile completions feed a checkpoint store (producer-
   // side edge log; see runtime/checkpoint.hpp), and a TransportFailure —

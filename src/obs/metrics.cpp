@@ -57,6 +57,21 @@ void Histogram::observe(std::int64_t v) {
   atomic_max(max_, v);
 }
 
+void Histogram::merge(const Histogram& other) {
+  const std::int64_t n = other.count();
+  if (n == 0) return;
+  for (int b = 0; b < kBuckets; ++b)
+    buckets_[static_cast<std::size_t>(b)].fetch_add(
+        other.bucket(b), std::memory_order_relaxed);
+  if (count_.fetch_add(n, std::memory_order_relaxed) == 0) {
+    min_.store(other.min(), std::memory_order_relaxed);
+    max_.store(other.max(), std::memory_order_relaxed);
+  }
+  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
+  atomic_min(min_, other.min());
+  atomic_max(max_, other.max());
+}
+
 double Histogram::quantile(double q) const {
   const std::int64_t n = count();
   if (n <= 0) return 0.0;

@@ -70,6 +70,9 @@ class Histogram {
 
   void observe(std::int64_t v);
 
+  /// Adds every observation `other` holds, as if each were observed here.
+  void merge(const Histogram& other);
+
   std::int64_t count() const {
     return count_.load(std::memory_order_relaxed);
   }

@@ -7,7 +7,7 @@
 // transport, mailbox admission, delivery by the receiver's poll, payload
 // unpack, and finally the dispatch of the dependent tile.  The receiver
 // completes the envelope into one MsgRecord and appends it to a per-thread
-// ring here — the same single-writer design as obs::Tracer's span rings,
+// ring here — the same obs::RecordRings type obs::Tracer keeps spans in,
 // and the records ride the same end-of-run gather (obs/gather.hpp) to
 // rank 0.
 //
@@ -30,10 +30,7 @@
 // out; a disabled tracer costs one relaxed load per site.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -100,56 +97,23 @@ MsgQueueing decompose(const MsgRecord& r);
 /// Aggregate decomposition over a record set.
 MsgQueueing decompose(const std::vector<MsgRecord>& records);
 
-/// Process-wide message-record collector; mirrors obs::Tracer (per-thread
-/// single-writer rings, merged set on the gather root).
-class MsgTracer {
+/// Ring key and sort key of a message record (obs/record_ring.hpp): the
+/// receiving rank completes and keeps each record.
+inline int ring_rank(const MsgRecord& r) { return r.dst; }
+inline std::int64_t ring_time(const MsgRecord& r) { return r.pack_ns; }
+
+/// Process-wide message-record collector: per-thread record rings (the
+/// ones obs::Tracer keeps spans in) and the merged set on the gather root.
+class MsgTracer : public RecordRings<MsgRecord, 1u << 14> {
  public:
-  /// Records one thread can hold before the oldest are overwritten.
-  static constexpr std::size_t kRingCapacity = 1u << 14;
-
   static MsgTracer& instance();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on && kTraceCompiled, std::memory_order_relaxed);
-  }
 
   /// Stamps share the span tracer's clock so flow events line up with
   /// spans on the exported timeline.
   static std::int64_t now_ns() { return Tracer::instance().now_ns(); }
 
-  /// Appends a completed record for the calling thread.
-  void record(const MsgRecord& r);
-
-  /// Every record whose destination is `rank` (writers quiesced).
-  std::vector<MsgRecord> collect_rank(int rank) const;
-  std::vector<MsgRecord> collect_all() const;
-
-  /// Records merged from all ranks (filled on the gather root).
-  std::vector<MsgRecord> merged() const;
-  void add_merged(std::vector<MsgRecord> records);
-
-  /// Records dropped because a thread's ring wrapped.
-  std::uint64_t dropped() const;
-
-  /// Forgets every recorded and merged record (buffers stay registered).
-  void clear();
-
  private:
-  struct ThreadBuffer {
-    std::vector<MsgRecord> ring;
-    std::atomic<std::uint64_t> head{0};  ///< total records ever written
-    std::atomic<std::uint64_t> dropped{0};
-  };
-
   MsgTracer() = default;
-
-  ThreadBuffer& local_buffer();
-
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;  // guards buffers_ growth and merged_
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  std::vector<MsgRecord> merged_;
 };
 
 // ---- dpgen.msgtrace.v1 document -----------------------------------------

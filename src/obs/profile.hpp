@@ -206,8 +206,8 @@ class Profiler {
  public:
   static Profiler& instance();
 
-  /// True while a profiled run is active (one relaxed load; the driver
-  /// checks RunOptions::profile instead on the per-tile path).
+  /// True while a profiled run is active (one relaxed load; the driver's
+  /// probe reads it once per run, runtime/probe.hpp).
   bool active() const { return active_.load(std::memory_order_relaxed); }
 
   /// True when the active run reads real perf events ("perf" mode).
@@ -242,7 +242,7 @@ class Profiler {
   };
   RankTotals rank_totals(int rank) const;
 
-  // ---- per-tile hot path (driver; call only when RunOptions::profile) ----
+  // ---- per-tile hot path (driver; call only while active()) ----
 
   /// Opens an exact counter window when this tile is due for measurement;
   /// returns whether it did (pass the result to tile_end).
@@ -311,12 +311,11 @@ class Profiler {
 };
 
 /// RAII worker-thread registration for the driver: enters on construction
-/// when `enabled` (RunOptions::profile) and the profiler is active, exits
-/// on destruction.
+/// when the profiler is active, exits on destruction.
 class ProfileThreadScope {
  public:
-  ProfileThreadScope(bool enabled, int rank, int thread) {
-    if (enabled && Profiler::instance().active()) {
+  ProfileThreadScope(int rank, int thread) {
+    if (Profiler::instance().active()) {
       Profiler::instance().thread_enter(rank, thread);
       entered_ = true;
     }

@@ -137,7 +137,7 @@ Session::Session(const SessionOptions& opt, RunIdentity id, int nranks,
     : opt_(opt), id_(std::move(id)) {
   // The profiler first: its start is the one that can throw (a run is
   // already active), and nothing else is armed yet.
-  if (profiling()) {
+  if (!opt_.profile.empty()) {
     ProfileOptions popt;
     popt.hz = opt_.profile_hz;
     popt.force_cputime = opt_.profile_cputime;
@@ -183,7 +183,7 @@ void Session::disarm(SessionResult* out) {
     r.stall_warnings = monitor_->stall_warnings();
     r.stragglers = monitor_->stragglers();
   }
-  if (profiling() && Profiler::instance().active())
+  if (!opt_.profile.empty() && Profiler::instance().active())
     r.profile = Profiler::instance().stop();
   // run_node gathered every rank's records and spans to the gather root.
   if (!opt_.msgtrace.empty()) {

@@ -137,9 +137,8 @@ class Session {
   /// aborted attempt's message records.  The profile spans all attempts.
   void restart(int nranks, std::vector<double> predicted_work);
 
-  /// For runtime::RunOptions.
+  /// For runtime::RunOptions::monitor.
   Monitor* monitor() const { return monitor_.get(); }
-  bool profiling() const { return !opt_.profile.empty(); }
 
   /// Disarms everything, collects what it recorded and writes the
   /// requested documents.

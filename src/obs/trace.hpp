@@ -4,9 +4,9 @@
 // Every phase of a hybrid run — tile execution, edge unpacking/packing,
 // sends, blocked sends, polling, idle backoff, barriers, load balancing —
 // is recorded as a Span (steady-clock nanoseconds, rank, thread, tile
-// coordinates) into a per-thread ring buffer.  Buffers are single-writer:
-// the owning thread appends without taking a lock; collection happens
-// after the writer quiesced (workers joined, barrier passed).  The spans
+// coordinates) into a per-thread record ring (obs/record_ring.hpp): the
+// owning thread appends without taking a lock; collection happens after
+// the writer quiesced (workers joined, barrier passed).  The spans
 // of all ranks are merged through minimpi::Comm::gather at the end of
 // run_node (see obs/gather.hpp) and exported as Chrome trace-event JSON
 // (obs/export.hpp) with one track per rank x thread, loadable in Perfetto
@@ -22,21 +22,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/record_ring.hpp"
 #include "support/vec.hpp"
 
-#ifndef DPGEN_TRACE
-#define DPGEN_TRACE 1
-#endif
-
 namespace dpgen::obs {
-
-/// True when span recording is compiled in (-DDPGEN_TRACE).
-inline constexpr bool kTraceCompiled = DPGEN_TRACE != 0;
 
 /// The span taxonomy (docs/observability.md).  Every phase of the node
 /// driver's while-loop, the comm layer and the setup path has one entry.
@@ -98,21 +90,18 @@ struct Span {
 
 static_assert(std::is_trivially_copyable_v<Span>, "Span is wire format");
 
+/// Ring key and sort key of a span (obs/record_ring.hpp).
+inline int ring_rank(const Span& s) { return s.rank; }
+inline std::int64_t ring_time(const Span& s) { return s.start_ns; }
+
 /// Process-wide tracer.  Ranks in this reproduction are threads of one
-/// process, so a single registry holds every rank's buffers; the per-rank
+/// process, so a single registry holds every rank's rings; the per-rank
 /// collect + gather path still mirrors what real MPI ranks would do.
-class Tracer {
+/// collect_rank(-1) returns the spans recorded outside any rank (setup
+/// phases).
+class Tracer : public RecordRings<Span, 1u << 16> {
  public:
-  /// Spans one thread can hold before the oldest are overwritten.
-  static constexpr std::size_t kRingCapacity = 1u << 16;
-
   static Tracer& instance();
-
-  /// Runtime switch (cheap: one relaxed load on the disabled path).
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on && kTraceCompiled, std::memory_order_relaxed);
-  }
 
   /// Tags the calling thread's future spans.  Called by the node driver
   /// when a rank / worker thread starts.
@@ -129,47 +118,10 @@ class Tracer {
   void record(Phase phase, std::int64_t start_ns, std::int64_t end_ns,
               const IntVec* tile = nullptr);
 
-  /// Snapshot of every span recorded with exactly this rank (use -1 for
-  /// spans recorded outside any rank, e.g. setup phases).  Writers for
-  /// that rank must have quiesced (joined / past a barrier).
-  std::vector<Span> collect_rank(int rank) const;
-
-  /// Snapshot of every recorded span regardless of rank.
-  std::vector<Span> collect_all() const;
-
-  /// Spans merged from all ranks (filled on the gather root).
-  std::vector<Span> merged() const;
-  void add_merged(std::vector<Span> spans);
-
-  /// Spans dropped because a thread's ring wrapped.
-  std::uint64_t dropped() const;
-
-  /// Forgets every recorded and merged span (buffers stay registered so
-  /// long-lived threads keep a valid slot).  Call between runs.
-  void clear();
-
  private:
-  struct ThreadBuffer {
-    std::vector<Span> ring;
-    std::atomic<std::uint64_t> head{0};  ///< total spans ever written
-    std::atomic<std::uint64_t> dropped{0};
-    std::atomic<std::int32_t> rank{-1};
-    std::atomic<std::int32_t> thread{0};
-  };
-
-  friend class ScopedSpan;
-
   Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
-  ThreadBuffer& local_buffer();
-  void collect_into(const ThreadBuffer& buf, bool filter, int want_rank,
-                    std::vector<Span>* out) const;
-
   std::chrono::steady_clock::time_point epoch_;
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;  // guards buffers_ growth and merged_
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  std::vector<Span> merged_;
 };
 
 /// RAII span: records [construction, destruction) when tracing is on.

@@ -30,11 +30,14 @@
 // run inside an OpenMP parallel region instead, making the program a true
 // hybrid OpenMP + message-passing executable.
 //
-// Observability: every phase of the loop records an obs::ScopedSpan
-// (tile-execute spans carry the tile coordinates) and the counters feed
-// the obs::MetricsRegistry alongside the returned RunStats.  At the end
-// of the run the ranks' span buffers are merged to rank 0 through the
-// comm layer (obs/gather.hpp), ready for Chrome-trace export.
+// Observability: the loop calls a per-worker probe (runtime/probe.hpp) at
+// each step and opens plain ScopedSpans only for its unpack and pack
+// scopes.  The probe records the other phase spans (tile-execute spans
+// carry the tile coordinates), message lifecycle stamps, profiler frames
+// and monitor heartbeats, and it keeps the one counter set that the
+// returned RunStats and the runtime.* metrics both come from.  At the end
+// of the run the ranks' span and message rings are merged to rank 0
+// through the comm layer (obs/gather.hpp), ready for export.
 
 #include <atomic>
 #include <chrono>
@@ -51,14 +54,11 @@
 
 #include "minimpi/world.hpp"
 #include "support/str.hpp"
-#include "obs/gather.hpp"
-#include "obs/metrics.hpp"
-#include "obs/monitor.hpp"
-#include "obs/profile.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/checkpoint.hpp"
+#include "runtime/probe.hpp"
 #include "runtime/tile_table.hpp"
 
 #if defined(_OPENMP) && defined(DPGEN_RUNTIME_USE_OPENMP)
@@ -153,12 +153,6 @@ struct RunOptions {
   /// fault-tolerant run whose restart replays sends); off by default so
   /// the clean path stays free of the guard's per-tile set insert.
   bool replay_guard = false;
-  /// Continuous profiling (obs/profile.hpp): worker threads register with
-  /// the process-wide Profiler (sampling timer + counter group each) and
-  /// tile executions feed the adaptive-stride counter windows.  The
-  /// profiler must have been start()ed by the caller (the engine or a
-  /// generated program's main).
-  bool profile = false;
 };
 
 struct RunStats {
@@ -167,7 +161,6 @@ struct RunStats {
   long long local_edges = 0;     // delivered without messaging
   long long remote_edges = 0;    // sent through the comm layer
   long long polls = 0;
-  long long idle_spins = 0;
   /// Buffer-pool misses (each one a real heap allocation on the edge
   /// path) and hits; in steady state every acquire should be a hit.
   long long edge_allocs = 0;
@@ -309,105 +302,6 @@ class Backoff {
   long sleep_us_ = 1;
 };
 
-/// Per-run cached handles into the metrics registry (name lookups are
-/// mutex-guarded; the hot loop must only touch atomics).
-struct DriverMetrics {
-  obs::Counter& tiles = obs::MetricsRegistry::instance().counter(
-      "runtime.tiles_executed");
-  obs::Counter& local_edges = obs::MetricsRegistry::instance().counter(
-      "runtime.local_edges");
-  obs::Counter& remote_edges = obs::MetricsRegistry::instance().counter(
-      "runtime.remote_edges");
-  obs::Counter& polls =
-      obs::MetricsRegistry::instance().counter("runtime.polls");
-  obs::Counter& idle_ns = obs::MetricsRegistry::instance().counter(
-      "runtime.idle_ns");
-  obs::Counter& blocked_send_ns = obs::MetricsRegistry::instance().counter(
-      "runtime.blocked_send_ns");
-  /// Buffer-pool misses (real allocations) and hits on the edge path.
-  obs::Counter& edge_alloc = obs::MetricsRegistry::instance().counter(
-      "runtime.edge_alloc");
-  obs::Counter& pool_hit = obs::MetricsRegistry::instance().counter(
-      "runtime.pool_hit");
-  obs::Histogram& tile_ns = obs::MetricsRegistry::instance().histogram(
-      "runtime.tile_latency_ns");
-  obs::Histogram& payload_scalars =
-      obs::MetricsRegistry::instance().histogram(
-          "runtime.edge_payload_scalars");
-  /// Per-edge-direction remote send counts (index = edge id).
-  std::vector<obs::Counter*> edge_sent;
-
-  explicit DriverMetrics(int num_edges) {
-    for (int e = 0; e < num_edges; ++e)
-      edge_sent.push_back(&obs::MetricsRegistry::instance().counter(
-          cat("runtime.edge_sent.e", e)));
-  }
-};
-
-/// The last tile each worker completed, read only by the stall-abort
-/// message: one seqlock slot per worker (its single writer), so the tile
-/// path takes no lock.  Slots are whole cache lines, so workers never
-/// share one.  Release/acquire element accesses stand in for fences,
-/// which ThreadSanitizer cannot model.  Allocated once per run.
-class LastTileSlots {
- public:
-  LastTileSlots(int workers, int dim)
-      : dim_(static_cast<std::size_t>(dim)),
-        lines_per_slot_((dim_ + 2 + kPerLine - 1) / kPerLine),
-        lines_(static_cast<std::size_t>(workers) * lines_per_slot_) {}
-
-  /// Records `worker`'s latest completion, stamped `at_ns` (> 0) to order
-  /// it among all workers' completions.
-  void record(int worker, const IntVec& tile, std::int64_t at_ns) {
-    std::atomic<Int>& seq = cell(worker, 0);
-    const Int s = seq.load(std::memory_order_relaxed);
-    seq.store(s + 1, std::memory_order_relaxed);
-    cell(worker, 1).store(at_ns, std::memory_order_release);
-    for (std::size_t k = 0; k < dim_; ++k)
-      cell(worker, 2 + k).store(tile[k], std::memory_order_release);
-    seq.store(s + 2, std::memory_order_release);
-  }
-
-  /// "(c0,c1,...)" of the latest completion; "(none)" before the first.
-  std::string latest() {
-    Int best_ns = 0;
-    std::string best = "(none)";
-    for (int w = 0; w * lines_per_slot_ < lines_.size(); ++w) {
-      for (;;) {  // retry a read that raced its writer
-        const Int s = cell(w, 0).load(std::memory_order_acquire);
-        const Int at_ns = cell(w, 1).load(std::memory_order_acquire);
-        std::string coords = "(";
-        for (std::size_t k = 0; k < dim_; ++k)
-          coords += cat(k ? "," : "",
-                        cell(w, 2 + k).load(std::memory_order_acquire));
-        if (s % 2 != 0 || cell(w, 0).load(std::memory_order_relaxed) != s)
-          continue;
-        if (at_ns > best_ns) {
-          best_ns = at_ns;
-          best = coords + ")";
-        }
-        break;
-      }
-    }
-    return best;
-  }
-
- private:
-  static constexpr std::size_t kPerLine = 8;
-  struct alignas(64) Line {
-    std::atomic<Int> v[kPerLine];
-  };
-  /// Element `e` of a worker's slot: [seq, at_ns, coords...].
-  std::atomic<Int>& cell(int worker, std::size_t e) {
-    return lines_[static_cast<std::size_t>(worker) * lines_per_slot_ +
-                  e / kPerLine]
-        .v[e % kPerLine];
-  }
-  std::size_t dim_;
-  std::size_t lines_per_slot_;
-  std::vector<Line> lines_;
-};
-
 }  // namespace detail
 
 /// Executes one rank's share of the problem.  Returns per-rank statistics.
@@ -424,9 +318,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   const int rank = comm.rank();
   const int dim = hooks.dim();
   const int num_edges = hooks.num_edges();
-
-  obs::Tracer::set_identity(rank, 0);
-  detail::DriverMetrics metrics(num_edges);
+  const Int owned = hooks.owned_tiles(rank);
 
   RunStats stats;
   ShardedTileTable<S> table(opt.order, opt.queue_shards);
@@ -436,6 +328,9 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   // store enters replay mode between attempts, never mid-run.
   const bool ckpt_replay = checkpoint && checkpoint->replay_possible();
   if (opt.replay_guard || ckpt_replay) table.enable_replay_guard();
+  RankProgress progress;
+  RunProbe run_probe(opt, comm, progress, dim, num_edges, owned,
+                     checkpoint != nullptr, [&] { return table.snapshot(); });
 
   // ---- initial tiles (paper IV.K): serial, then filtered by ownership ----
   {
@@ -455,13 +350,11 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
         std::chrono::duration<double>(Clock::now() - t0).count();
   }
 
-  const Int owned = hooks.owned_tiles(rank);
-  std::atomic<long long> done{0};
   if (checkpoint) {
     // Restart seeding: credit executed owned tiles and replay stored
     // edges for this rank's not-yet-executed consumers into the fresh
     // table.  Non-executed producers re-execute and re-send live.
-    done.store(checkpoint->seed_rank(
+    progress.done.store(checkpoint->seed_rank(
         rank, [&](const IntVec& t) { return hooks.owner(t); },
         [&](const IntVec& t) { return hooks.dep_count(t); }, table));
     checkpoint->attach_table(rank, &table);
@@ -474,76 +367,24 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
       if (store) store->detach_table(rank);
     }
   } checkpoint_detach{checkpoint, rank};
-  // Cells of tiles started (credited at dispatch, not completion — see the
-  // worker loop).  Only maintained when monitored.
-  std::atomic<long long> done_cells{0};
-  std::atomic<long long> progress_marker{0};
   std::mutex poll_mu;  // the paper's "poll ... if lock available"
-  std::mutex stats_mu;
-  // Stall diagnostics: workers currently stuck in the blocked-send retry
-  // loop, and the last tile any worker completed.  Both feed the
-  // stall-abort message so a stalled rank reports what it was waiting on.
-  std::atomic<int> blocked_senders{0};
   // Worker-failure latch: the first exception a worker throws (a
   // TransportFailure from a poisoned wire, or a hook error) is captured
-  // and rethrown after the join; the flag stops the other workers' loops
-  // so they unwind instead of waiting for tiles that will never come.
-  std::atomic<bool> worker_failed{false};
+  // and rethrown after the join; progress.worker_failed stops the other
+  // workers' loops so they unwind instead of waiting for tiles that will
+  // never come.
   std::mutex error_mu;
   std::exception_ptr first_error;
-  // Workers currently processing a popped tile (unpack/execute/pack);
-  // feeds RankSnapshot::active_workers so the straggler detector can tell
-  // "busy inside a long kernel" apart from "dependency-starved".
-  std::atomic<int> busy_workers{0};
-  detail::LastTileSlots last_tiles(opt.threads, dim);
   // Wire buffers are recycled rank-wide: try_recv frees a message's buffer
   // into this pool and the next remote pack reuses it, so a pipelined
   // exchange settles into zero wire allocations per edge.
   detail::SharedBufferPool<std::uint8_t> wire_pool;
 
-  // Live telemetry: builds a RankSnapshot on demand.  Takes the shard
-  // locks, so it only runs when the monitor's sampler raised this rank's
-  // want flag (claim() below) — never on the steady-state path.
-  auto monitor_snapshot = [&]() {
-    obs::RankSnapshot s;
-    s.t_s = opt.monitor->now_s();
-    const TableSnapshot snap = table.snapshot();
-    s.pending_tiles = snap.pending_tiles;
-    s.ready_tiles = snap.ready_tiles;
-    s.buffered_edges = snap.buffered_edges;
-    s.executed = done.load(std::memory_order_relaxed);
-    s.executed_cells = done_cells.load(std::memory_order_relaxed);
-    s.owned = owned;
-    s.blocked_senders = blocked_senders.load(std::memory_order_relaxed);
-    s.bytes_sent = static_cast<long long>(comm.bytes_sent());
-    s.messages_sent = static_cast<long long>(comm.messages_sent());
-    s.progress_marker = progress_marker.load(std::memory_order_relaxed);
-    s.active_workers = busy_workers.load(std::memory_order_relaxed);
-    s.workers = opt.threads;
-    s.mailbox_depth = static_cast<long long>(comm.mailbox_depth());
-    if (opt.profile) {
-      const auto prof = obs::Profiler::instance().rank_totals(rank);
-      s.prof_cycles = static_cast<long long>(prof.cycles);
-      s.prof_instructions = static_cast<long long>(prof.instructions);
-      s.prof_sampled_cells = static_cast<long long>(prof.sampled_cells);
-      s.prof_sampled_exec_ns =
-          static_cast<long long>(prof.sampled_exec_ns);
-    }
-    return s;
-  };
-  // Marker value a stall_warning was already issued for: one warning per
-  // no-progress stretch, re-armed as soon as any worker makes progress.
-  std::atomic<long long> stall_warned_marker{-1};
-
   auto expected_deps = [&](const IntVec& t) { return hooks.dep_count(t); };
 
   auto worker = [&](int worker_id) {
-    obs::Tracer::set_identity(rank, worker_id);
-    // Profiled runs: arm this worker's sampling timer + counter group for
-    // the duration of the run (no-op when the profiler is inactive).
-    obs::ProfileThreadScope prof_scope(opt.profile, rank, worker_id);
+    WorkerProbe probe(run_probe, worker_id);
     const int preferred_shard = worker_id % table.shards();
-    RunStats local;
     std::vector<S> buffer(static_cast<std::size_t>(hooks.buffer_size()));
     // Payload vectors cycle worker-locally: each tile's unpack releases
     // exactly the buffers its packs then re-acquire, so after warm-up
@@ -555,193 +396,54 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
     // Outgoing edges of the tile in flight, captured for the checkpoint
     // (recorded atomically with the executed mark in tile_complete).
     std::vector<CheckpointEdge<S>> ckpt_edges;
-    long long seen_marker = progress_marker.load();
-    auto seen_time = Clock::now();
     detail::Backoff backoff;
-    // Set while in an idle stretch (no ready tile): its start time.
-    bool idling = false;
-    auto idle_since = Clock::now();
-    // Idle spans are recorded retrospectively (no ScopedSpan wraps the
-    // stretch), so the profiler's phase frame is maintained by hand.
-    bool idle_frame = false;
 
+    // 6. drain this rank's mailbox into the table if the comm lock is free.
     auto poll = [&]() -> bool {
       std::unique_lock<std::mutex> lock(poll_mu, std::try_to_lock);
       if (!lock.owns_lock()) return false;
-      obs::ScopedSpan span(obs::Phase::kPoll);
+      auto span = probe.poll();
       bool got = false;
-      std::int64_t batch_deliver_ns = 0;
       while (auto msg = comm.try_recv()) {
         EdgeData<S> ed;
         ed.payload = payload_pool.acquire();
         detail::decode_edge<S>(msg->payload, dim, num_edges, &ed.edge,
                                &poll_consumer, &ed.payload);
-        if (msg->env.seq >= 0) {
-          // Traced message: complete the sender/transport half of the
-          // lifecycle envelope into the edge's record; unpack and
-          // dispatch are stamped when the consumer tile runs.
-          ed.msg.seq = msg->env.seq;
-          ed.msg.pack_ns = msg->env.pack_ns;
-          ed.msg.send_ns = msg->env.send_ns;
-          ed.msg.admit_ns = msg->env.admit_ns;
-          // One stamp per drain sweep: messages pulled while the poll lock
-          // is held share a deliver time, so the hot path pays one clock
-          // read per sweep, not per message.  A message admitted after
-          // the sweep's stamp (a sender raced the drain) takes a fresh
-          // one, keeping admit <= deliver.
-          if (batch_deliver_ns < msg->env.admit_ns)
-            batch_deliver_ns = obs::MsgTracer::now_ns();
-          ed.msg.deliver_ns = batch_deliver_ns;
-          ed.msg.bytes = static_cast<std::int64_t>(msg->payload.size());
-          ed.msg.src = static_cast<std::int16_t>(msg->source);
-          ed.msg.dst = static_cast<std::int16_t>(rank);
-          ed.msg.src_thread = msg->env.src_thread;
-          ed.msg.edge = static_cast<std::int16_t>(ed.edge);
-        }
-        wire_pool.release(std::move(msg->payload));
         // After a restart/resume, a re-executing producer re-sends edges
         // whose consumer the checkpoint already credits as executed.
         // Delivering those would rebuild the consumer's full dependency
         // set and make it execute twice, so they are dropped here.
-        if (ckpt_replay && checkpoint->executed(poll_consumer)) {
-          if (ed.msg.seq >= 0) {
-            // Delivered-but-screened: record it now (conservation counts
-            // the delivery; dispatch never happens for a replayed edge).
-            ed.msg.unpack_ns = ed.msg.deliver_ns;
-            ed.msg.dispatch_ns = ed.msg.deliver_ns;
-            ed.msg.dst_thread = static_cast<std::int16_t>(worker_id);
-            obs::MsgTracer::instance().record(ed.msg);
-          }
+        const bool replayed =
+            ckpt_replay && checkpoint->executed(poll_consumer);
+        probe.deliver(*msg, ed.edge, replayed, &ed.msg);
+        wire_pool.release(std::move(msg->payload));
+        if (replayed)
           payload_pool.release(std::move(ed.payload));
-        } else {
+        else
           table.deliver(poll_consumer, expected_deps, std::move(ed));
-        }
         got = true;
       }
-      ++local.polls;
       return got;
     };
 
-    while (!worker_failed.load(std::memory_order_acquire) &&
-           done.load(std::memory_order_acquire) < owned) {
+    while (!progress.worker_failed.load(std::memory_order_acquire) &&
+           progress.done.load(std::memory_order_acquire) < owned) {
+      // 1. get the next available tile
       auto ready = table.pop(preferred_shard);
       if (!ready) {
         // 6'. idle path: poll, then back off so the core is not burnt.
-        if (!idling) {
-          idling = true;
-          idle_since = Clock::now();
-          // A hand-kept span frame: compiled out with the span hooks.
-          idle_frame = obs::kTraceCompiled &&
-                       obs::profile_frame_push(obs::Phase::kIdle);
-        }
+        probe.idle_begin();
         if (poll()) {
-          progress_marker.fetch_add(1);
+          progress.progress_marker.fetch_add(1);
           backoff.reset();
         }
-        ++local.idle_spins;
         backoff.pause();
-        if (opt.monitor && opt.monitor->claim(rank))
-          opt.monitor->publish(rank, monitor_snapshot());
-        if (opt.stall_timeout_seconds > 0) {
-          long long marker = progress_marker.load();
-          if (marker != seen_marker) {
-            seen_marker = marker;
-            seen_time = Clock::now();
-          } else {
-            const double waited =
-                std::chrono::duration<double>(Clock::now() - seen_time)
-                    .count();
-            if (checkpoint && opt.recover_stall_seconds > 0 &&
-                waited > opt.recover_stall_seconds) {
-              // Recovery path: dependencies this rank is starving for are
-              // presumed lost (a dropped message cannot be told apart
-              // from a slow one, so the budget decides).  Poison the
-              // transport so every rank unwinds; the engine restarts
-              // from the checkpoint and producers re-send.
-              const TableSnapshot snap = table.snapshot();
-              const std::string why = cat(
-                  "no progress for ", waited, "s (recover budget ",
-                  opt.recover_stall_seconds, "s): presumed message loss; "
-                  "ready=", snap.ready_tiles, " pending=",
-                  snap.pending_tiles, " buffered_edges=",
-                  snap.buffered_edges, " executed=", done.load(), "/",
-                  owned);
-              comm.declare_failure(why);
-              throw minimpi::TransportFailure(why);
-            }
-            if (waited > 0.5 * opt.stall_timeout_seconds) {
-              // Halfway to the abort: warn once per no-progress stretch so
-              // live monitors see trouble before the run dies.
-              long long warned =
-                  stall_warned_marker.load(std::memory_order_relaxed);
-              if (warned != marker &&
-                  stall_warned_marker.compare_exchange_strong(warned,
-                                                              marker)) {
-                ++local.stall_warnings;
-                const TableSnapshot snap = table.snapshot();
-                std::fprintf(
-                    stderr,
-                    "dpgen: stall_warning: rank %d made no progress for "
-                    "%.2fs (timeout %.2fs): ready=%lld pending=%lld "
-                    "buffered_edges=%lld executed=%lld/%lld "
-                    "blocked_senders=%d\n",
-                    rank, waited, opt.stall_timeout_seconds,
-                    snap.ready_tiles, snap.pending_tiles,
-                    snap.buffered_edges, done.load(),
-                    static_cast<long long>(owned), blocked_senders.load());
-                if (opt.monitor) {
-                  obs::RankSnapshot ms = monitor_snapshot();
-                  opt.monitor->stall_warning(rank, ms, waited,
-                                             opt.stall_timeout_seconds);
-                }
-              }
-            }
-            if (waited > opt.stall_timeout_seconds) {
-              const TableSnapshot snap = table.snapshot();
-              raise(cat(
-                  "runtime stalled: no tile became ready within the stall "
-                  "timeout (likely a scheduling bug or a dead peer rank); "
-                  "rank ", rank, " scheduler snapshot: ready=",
-                  snap.ready_tiles, " pending=", snap.pending_tiles,
-                  " buffered_edges=", snap.buffered_edges, " executed=",
-                  done.load(), "/", owned, " owned tiles, blocked_senders=",
-                  blocked_senders.load(), " (", comm.blocked_sends(),
-                  " blocked sends so far), last tile completed: ",
-                  last_tiles.latest()));
-            }
-          }
-        }
+        probe.publish();
+        probe.watch_stall();
         continue;
       }
-      if (idling) {
-        const double idle =
-            std::chrono::duration<double>(Clock::now() - idle_since).count();
-        local.idle_seconds += idle;
-        metrics.idle_ns.add(static_cast<std::int64_t>(idle * 1e9));
-        obs::Tracer& tracer = obs::Tracer::instance();
-        if (tracer.enabled()) {
-          const std::int64_t end_ns = tracer.now_ns();
-          tracer.record(obs::Phase::kIdle,
-                        end_ns - static_cast<std::int64_t>(idle * 1e9),
-                        end_ns);
-        }
-        idling = false;
-        obs::profile_frame_pop(idle_frame);
-        idle_frame = false;
-        backoff.reset();
-      }
-      busy_workers.fetch_add(1, std::memory_order_relaxed);
-      progress_marker.fetch_add(1, std::memory_order_relaxed);
-      // Cells are credited at tile *start* so a worker grinding through one
-      // expensive tile doesn't read as stalled between heartbeats (cell
-      // counts are heavy-tailed; completion-credit is a step function whose
-      // flats the straggler detector would mistake for slowness).  The
-      // profiler's per-tile totals reuse the same count.
-      const Int tile_cells_now = (opt.monitor || opt.profile)
-                                     ? hooks.tile_cells(ready->tile)
-                                     : 0;
-      if (opt.monitor)
-        done_cells.fetch_add(tile_cells_now, std::memory_order_relaxed);
+      if (probe.idle_end()) backoff.reset();
+      probe.tile_begin([&] { return hooks.tile_cells(ready->tile); });
 
       // 2. fresh buffer + unpack stored edges (payloads go back to the
       // pool, where step 4's packs pick them straight up again)
@@ -754,10 +456,6 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
         } else {
           std::fill(buffer.begin(), buffer.end(), S{});
         }
-        // All of this tile's stored edges unpack back to back; one stamp
-        // (taken at the first traced edge) marks the batch, keeping the
-        // clock off the hot path for locally-fed tiles.
-        std::int64_t unpack_ns = 0;
         for (auto& e : ready->edges) {
           const IntVec& off = hooks.edge_offset(e.edge);
           for (int k = 0; k < dim; ++k)
@@ -766,62 +464,16 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
                        off[static_cast<std::size_t>(k)]);
           hooks.unpack(e.edge, producer, e.payload.data(),
                        static_cast<Int>(e.payload.size()), buffer.data());
-          if (e.msg.seq >= 0) {
-            if (unpack_ns == 0) unpack_ns = obs::MsgTracer::now_ns();
-            e.msg.unpack_ns = unpack_ns;
-          }
+          probe.edge_unpacked(e.msg);
           payload_pool.release(std::move(e.payload));
         }
       }
-
-      // Dispatch stamp: the dependent tile is about to execute.  Each
-      // remote edge's lifecycle record is complete here, so it goes into
-      // the ring (one shared stamp — the edges unblock the same tile).
-      if (obs::MsgTracer::instance().enabled()) {
-        // Most tiles are fed by local edges only; find a traced edge
-        // before touching the clock so purely-local tiles pay one relaxed
-        // load and a short scan, not a timestamp per pop.
-        std::int64_t dispatch_ns = 0;
-        const auto nc = static_cast<std::uint8_t>(std::min<std::size_t>(
-            ready->tile.size(), obs::kMaxSpanDims));
-        for (auto& e : ready->edges) {
-          if (e.msg.seq < 0) continue;
-          if (dispatch_ns == 0) dispatch_ns = obs::MsgTracer::now_ns();
-          e.msg.dispatch_ns = dispatch_ns;
-          e.msg.dst_thread = static_cast<std::int16_t>(worker_id);
-          e.msg.ncoord = nc;
-          for (std::uint8_t k = 0; k < nc; ++k)
-            e.msg.consumer[k] = static_cast<std::int32_t>(ready->tile[k]);
-          obs::MsgTracer::instance().record(e.msg);
-        }
-      }
+      probe.dispatch(*ready);
 
       // 3. execute
-      Clock::time_point exec_end;
-      {
-        obs::ScopedSpan span(obs::Phase::kTileExecute, &ready->tile);
-        const bool prof_window =
-            opt.profile && obs::Profiler::tile_begin();
-        const auto t0 = Clock::now();
-        hooks.execute_tile(ready->tile, buffer.data());
-        exec_end = Clock::now();
-        const std::int64_t exec_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(exec_end -
-                                                                 t0)
-                .count();
-        if (opt.profile)
-          obs::Profiler::tile_end(prof_window,
-                                  static_cast<long long>(tile_cells_now),
-                                  exec_ns);
-        metrics.tile_ns.observe(exec_ns);
-      }
+      probe.execute(ready->tile,
+                    [&] { hooks.execute_tile(ready->tile, buffer.data()); });
       hooks.on_tile_executed(ready->tile, buffer.data());
-      ++local.tiles_executed;
-      last_tiles.record(
-          worker_id, ready->tile,
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              exec_end.time_since_epoch())
-              .count());
 
       // 4. pack and route each valid outgoing edge
       for (int e = 0; e < num_edges; ++e) {
@@ -854,18 +506,14 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
           DPGEN_ASSERT(count >= 0 &&
                        count <= static_cast<Int>(ed.payload.size()));
           ed.payload.resize(static_cast<std::size_t>(count));
-          metrics.payload_scalars.observe(count);
+          probe.edge_routed(e, count, /*remote=*/false);
           if (checkpoint)
             ckpt_edges.push_back(CheckpointEdge<S>{consumer, e, ed.payload});
           table.deliver(consumer, expected_deps, std::move(ed));
-          ++local.local_edges;
         } else {
           // Remote edge: pack straight into the wire buffer after the
           // reserved header, then move the buffer into the mailbox.
-          obs::ScopedSpan span(obs::Phase::kSend, &consumer);
-          const bool msg_traced = obs::MsgTracer::instance().enabled();
-          minimpi::MsgEnvelope env;
-          if (msg_traced) env.pack_ns = obs::MsgTracer::now_ns();
+          auto span = probe.send(consumer);
           std::vector<std::uint8_t> wire = wire_pool.acquire();
           S* out = detail::begin_edge_wire<S>(wire, dim,
                                               hooks.edge_capacity(e));
@@ -876,44 +524,27 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
           }
           DPGEN_ASSERT(count >= 0 && count <= hooks.edge_capacity(e));
           detail::finish_edge_wire<S>(wire, e, consumer, count);
-          metrics.payload_scalars.observe(count);
+          probe.edge_routed(e, count, /*remote=*/true);
           if (checkpoint)
             // finish_edge_wire only shrinks the buffer, so `out` (the
             // payload region) is still valid here.
             ckpt_edges.push_back(
                 CheckpointEdge<S>{consumer, e, std::vector<S>(out, out + count)});
-          if (msg_traced) {
-            // One sequence number per message, assigned before the retry
-            // loop — retries reuse the same envelope, so a blocked send
-            // never burns extra numbers.
-            env.seq = comm.next_seq(dst);
-            env.send_ns = obs::MsgTracer::now_ns();
-            env.src_thread = static_cast<std::int16_t>(worker_id);
-          }
-          const minimpi::MsgEnvelope* envp = msg_traced ? &env : nullptr;
-          if (!comm.try_send(dst, e, wire, envp)) {
+          const minimpi::MsgEnvelope* env = probe.envelope(dst);
+          if (!comm.try_send(dst, e, wire, env)) {
             // Destination buffers full: service our own mailbox while
             // backing off, which avoids cyclic send deadlocks under
             // small buffer budgets.
-            obs::ScopedSpan blocked(obs::Phase::kBlockedSend, &consumer);
-            const auto t0 = Clock::now();
-            blocked_senders.fetch_add(1, std::memory_order_relaxed);
-            detail::Backoff send_backoff;
-            do {
-              if (worker_failed.load(std::memory_order_acquire))
-                raise("peer worker failed while this send was blocked");
-              poll();
-              send_backoff.pause();
-            } while (!comm.try_send(dst, e, wire, envp));
-            blocked_senders.fetch_sub(1, std::memory_order_relaxed);
-            const double waited =
-                std::chrono::duration<double>(Clock::now() - t0).count();
-            local.blocked_send_seconds += waited;
-            metrics.blocked_send_ns.add(
-                static_cast<std::int64_t>(waited * 1e9));
+            probe.blocked_send(consumer, [&] {
+              detail::Backoff send_backoff;
+              do {
+                if (progress.worker_failed.load(std::memory_order_acquire))
+                  raise("peer worker failed while this send was blocked");
+                poll();
+                send_backoff.pause();
+              } while (!comm.try_send(dst, e, wire, env));
+            });
           }
-          metrics.edge_sent[static_cast<std::size_t>(e)]->increment();
-          ++local.remote_edges;
         }
       }
 
@@ -929,57 +560,12 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
       // pending slots reuse their heap storage (payloads already went to
       // payload_pool during unpack).
       table.recycle(std::move(*ready));
-
-      done.fetch_add(1, std::memory_order_release);
-      // Publish (if asked) before dropping busy_workers so the snapshot
-      // still counts this worker as active for the tile it just finished.
-      if (opt.monitor && opt.monitor->claim(rank))
-        opt.monitor->publish(rank, monitor_snapshot());
-      busy_workers.fetch_sub(1, std::memory_order_relaxed);
+      progress.done.fetch_add(1, std::memory_order_release);
+      probe.tile_end();
       // 6. opportunistic poll
       poll();
     }
-
-    if (idling) {
-      // Workers that drain early exit the loop mid-idle (the loop
-      // condition flips while they wait for peers to finish the last
-      // tiles), so the stretch must be closed here: this tail idle is
-      // exactly what the load-balance audit attributes imbalance to.
-      obs::profile_frame_pop(idle_frame);
-      idle_frame = false;
-      const double idle =
-          std::chrono::duration<double>(Clock::now() - idle_since).count();
-      local.idle_seconds += idle;
-      metrics.idle_ns.add(static_cast<std::int64_t>(idle * 1e9));
-      obs::Tracer& tracer = obs::Tracer::instance();
-      if (tracer.enabled()) {
-        const std::int64_t end_ns = tracer.now_ns();
-        tracer.record(obs::Phase::kIdle,
-                      end_ns - static_cast<std::int64_t>(idle * 1e9), end_ns);
-      }
-    }
-
-    local.pool_hits += payload_pool.hits();
-    local.edge_allocs += payload_pool.misses();
-
-    metrics.tiles.add(local.tiles_executed);
-    metrics.local_edges.add(local.local_edges);
-    metrics.remote_edges.add(local.remote_edges);
-    metrics.polls.add(local.polls);
-    metrics.pool_hit.add(local.pool_hits);
-    metrics.edge_alloc.add(local.edge_allocs);
-
-    std::lock_guard<std::mutex> lock(stats_mu);
-    stats.tiles_executed += local.tiles_executed;
-    stats.local_edges += local.local_edges;
-    stats.remote_edges += local.remote_edges;
-    stats.polls += local.polls;
-    stats.idle_spins += local.idle_spins;
-    stats.edge_allocs += local.edge_allocs;
-    stats.pool_hits += local.pool_hits;
-    stats.idle_seconds += local.idle_seconds;
-    stats.blocked_send_seconds += local.blocked_send_seconds;
-    stats.stall_warnings += local.stall_warnings;
+    probe.finish(payload_pool.hits(), payload_pool.misses());
   };
 
   // Worker exceptions must not escape their threads (std::terminate);
@@ -994,7 +580,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
         std::lock_guard<std::mutex> lock(error_mu);
         if (!first_error) first_error = std::current_exception();
       }
-      worker_failed.store(true, std::memory_order_release);
+      progress.worker_failed.store(true, std::memory_order_release);
     }
   };
 
@@ -1029,16 +615,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
     std::rethrow_exception(first_error);
   }
 
-  stats.edge_allocs += wire_pool.misses();
-  stats.pool_hits += wire_pool.hits();
-  metrics.edge_alloc.add(wire_pool.misses());
-  metrics.pool_hit.add(wire_pool.hits());
-
-  // Forced final heartbeat: even a run shorter than the sampling interval
-  // leaves one complete (fully-executed, drained-table) snapshot per rank.
-  if (opt.monitor) opt.monitor->publish(rank, monitor_snapshot());
-
-  obs::Tracer::set_identity(rank, 0);
+  run_probe.finish(wire_pool.hits(), wire_pool.misses(), &stats);
   {
     obs::ScopedSpan span(obs::Phase::kBarrier);
     comm.barrier();
@@ -1049,22 +626,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   stats.blocked_sends = comm.blocked_sends();
   stats.total_seconds =
       std::chrono::duration<double>(Clock::now() - t_start).count();
-
-#if DPGEN_TRACE
-  // Merge every rank's span buffer to rank 0 (collective, so every rank
-  // participates exactly when all do — the flag is process-wide here and
-  // would be mirrored across real MPI ranks by the launcher).
-  if (obs::Tracer::instance().enabled()) {
-    obs::ScopedSpan span(obs::Phase::kGather);
-    obs::gather_and_merge(obs::Tracer::instance(), comm);
-  }
-  // Message records ride the same collective path (the enable flag is
-  // process-wide, so every rank takes this branch together or not at all).
-  if (obs::MsgTracer::instance().enabled()) {
-    obs::ScopedSpan span(obs::Phase::kGather);
-    obs::gather_and_merge(obs::MsgTracer::instance(), comm);
-  }
-#endif
+  run_probe.gather();
   return stats;
 }
 

@@ -142,12 +142,12 @@ class ReadyDepthAgg {
 };
 
 template <typename S>
-class TileTable {
+class alignas(64) TileTable {
  public:
   /// `depth` aggregates ready-queue depth across shards; when null the
   /// table tracks its own (single-shard use and tests).
   explicit TileTable(const TileOrder& order, ReadyDepthAgg* depth = nullptr)
-      : order_(order), depth_(depth ? depth : &own_depth_) {
+      : depth_(depth ? depth : &own_depth_), order_(order) {
     slots_.resize(kInitialSlots);
   }
 
@@ -414,25 +414,29 @@ class TileTable {
     }
   }
 
-  TileOrder order_;
+  // Every operation runs under mu_, and the object is cache-line aligned
+  // with the fields a critical section writes packed right behind the
+  // lock, so a lock hand-off moves the same few lines wherever the
+  // allocator put the table.
   mutable std::mutex mu_;
+  std::vector<ReadyTile<S>> ready_;  // binary heap ordered by heap_before()
   std::vector<Slot> slots_;
   long long size_ = 0;        // occupied slots
   std::size_t tombstones_ = 0;
-  std::vector<ReadyTile<S>> ready_;  // binary heap ordered by heap_before()
+  ReadyDepthAgg* depth_;
+  long long cur_edges_ = 0;
+  long long cur_scalars_ = 0;
+  TableStats stats_;
   std::vector<ReadyTile<S>> spares_;  // recycled (tile, edges) containers
+  bool replay_guard_ = false;
+  TileOrder order_;
   /// Tiles whose dependency set has been fully delivered (they moved to the
   /// ready queue).  Late duplicates of their edges are dropped on sight —
   /// the tombstone left in slots_ forgets the tile's identity, so this set
   /// is what makes the duplicate guard hold across the ready transition.
   /// Populated only when replay_guard_ is armed (see enable_replay_guard).
   std::unordered_set<IntVec, IntVecHash> satisfied_;
-  bool replay_guard_ = false;
   ReadyDepthAgg own_depth_;
-  ReadyDepthAgg* depth_;
-  TableStats stats_;
-  long long cur_edges_ = 0;
-  long long cur_scalars_ = 0;
 };
 
 /// Sharded variant (paper section VII.C): "separate shared data structures

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -74,31 +75,70 @@ long long inum(const json::Value& v, const char* key) {
 
 // ---- ring mechanics -------------------------------------------------------
 
-TEST(MsgTrace, RingOverflowCountsEveryDroppedRecord) {
+// Both tracers keep their records in obs::RecordRings; one typed test
+// drives each past its capacity.  Record i carries ring time i, so the
+// survivors show which records the wrap overwrote.
+template <typename T>
+struct RingCase;
+
+template <>
+struct RingCase<obs::Span> {
+  static obs::Tracer& tracer() { return obs::Tracer::instance(); }
+  static void record(std::int64_t i) {
+    tracer().record(obs::Phase::kPoll, i, i + 1);
+  }
+};
+
+template <>
+struct RingCase<obs::MsgRecord> {
+  static obs::MsgTracer& tracer() { return obs::MsgTracer::instance(); }
+  static void record(std::int64_t i) {
+    obs::MsgRecord r;
+    r.seq = i;
+    r.src = 1;
+    r.dst = 0;
+    r.pack_ns = i;
+    r.dispatch_ns = i + 1;
+    tracer().record(r);
+  }
+};
+
+struct RingTypeName {
+  template <typename T>
+  static std::string GetName(int) {
+    return std::is_same_v<T, obs::Span> ? "Span" : "MsgRecord";
+  }
+};
+
+template <typename T>
+class RecordRingWrap : public ::testing::Test {};
+using RingRecordTypes = ::testing::Types<obs::Span, obs::MsgRecord>;
+TYPED_TEST_SUITE(RecordRingWrap, RingRecordTypes, RingTypeName);
+
+TYPED_TEST(RecordRingWrap, OverflowKeepsNewestAndCountsDrops) {
   if (!obs::kTraceCompiled) GTEST_SKIP() << "built with DPGEN_TRACE=0";
-  obs::MsgTracer& t = obs::MsgTracer::instance();
+  using Case = RingCase<TypeParam>;
+  auto& t = Case::tracer();
+  const std::size_t capacity = std::decay_t<decltype(t)>::kRingCapacity;
   t.clear();
   t.set_enabled(true);
   const std::uint64_t extra = 123;
-  const std::uint64_t total = obs::MsgTracer::kRingCapacity + extra;
-  for (std::uint64_t i = 0; i < total; ++i) {
-    obs::MsgRecord r;
-    r.seq = static_cast<std::int64_t>(i);
-    r.src = 1;
-    r.dst = 0;
-    r.pack_ns = static_cast<std::int64_t>(i + 1);
-    r.dispatch_ns = static_cast<std::int64_t>(i + 2);
-    t.record(r);
-  }
+  std::thread writer([&] {
+    obs::Tracer::set_identity(/*rank=*/0, /*thread=*/0);
+    for (std::uint64_t i = 0; i < capacity + extra; ++i)
+      Case::record(static_cast<std::int64_t>(i));
+  });
+  writer.join();
   t.set_enabled(false);
-  const std::vector<obs::MsgRecord> kept = t.collect_all();
-  EXPECT_EQ(kept.size(), obs::MsgTracer::kRingCapacity);
+  const std::vector<TypeParam> kept = t.collect_all();
+  EXPECT_EQ(kept.size(), capacity);
   EXPECT_EQ(t.dropped(), extra);
-  // The ring keeps the newest records: the smallest surviving seq is
-  // exactly the drop count.
-  std::int64_t min_seq = kept.front().seq;
-  for (const obs::MsgRecord& r : kept) min_seq = std::min(min_seq, r.seq);
-  EXPECT_EQ(min_seq, static_cast<std::int64_t>(extra));
+  // The wrap overwrote exactly the `extra` oldest records.
+  ASSERT_FALSE(kept.empty());
+  EXPECT_EQ(ring_time(kept.front()), static_cast<std::int64_t>(extra));
+  EXPECT_EQ(ring_time(kept.back()),
+            static_cast<std::int64_t>(capacity + extra - 1));
+  EXPECT_EQ(t.collect_rank(0).size(), capacity);
   t.clear();
   EXPECT_TRUE(t.collect_all().empty());
   EXPECT_EQ(t.dropped(), 0u);

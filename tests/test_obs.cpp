@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -396,6 +397,79 @@ TEST(ObsEndToEnd, UntracedRunRecordsNothing) {
             model.total_tiles({31}));
   EXPECT_TRUE(tracer.collect_all().empty());
   EXPECT_TRUE(tracer.merged().empty());
+}
+
+// The runtime.* metrics and the per-rank RunStats are one counter set: a
+// 2-rank x 2-thread run with remote edges moves every counter by exactly
+// the sum of the matching field over rank_stats.
+TEST(ObsEndToEnd, RuntimeMetricsEqualSummedRankStats) {
+  spec::ProblemSpec s;
+  s.name("paths")
+      .params({"N"})
+      .vars({"x", "y"})
+      .constraint("x >= 0")
+      .constraint("x <= N")
+      .constraint("y >= 0")
+      .constraint("y <= N")
+      .dep("r1", {1, 0})
+      .dep("r2", {0, 1})
+      .load_balance({"x", "y"})
+      .tile_widths({4, 4})
+      .center_code("V[loc] = 0.0;");
+  tiling::TilingModel model(s);
+  auto center = [](const engine::Cell& c) {
+    double v = 0.0;
+    int any = 0;
+    if (c.valid[0]) { v += c.V[c.loc_dep[0]]; any = 1; }
+    if (c.valid[1]) { v += c.V[c.loc_dep[1]]; any = 1; }
+    c.V[c.loc] = any ? v : 1.0;
+  };
+  engine::EngineOptions opt;
+  opt.ranks = 2;
+  opt.threads = 2;
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  const char* names[] = {"runtime.tiles_executed", "runtime.local_edges",
+                         "runtime.remote_edges",   "runtime.polls",
+                         "runtime.edge_alloc",     "runtime.pool_hit",
+                         "runtime.idle_ns",        "runtime.blocked_send_ns"};
+  std::map<std::string, std::int64_t> before;
+  for (const char* n : names) before[n] = reg.counter(n).value();
+  const std::int64_t latency0 =
+      reg.histogram("runtime.tile_latency_ns").count();
+
+  auto result = engine::run(model, {23}, center, opt);
+  auto delta = [&](const char* n) { return reg.counter(n).value() - before[n]; };
+
+  ASSERT_EQ(result.rank_stats.size(), 2u);
+  long long tiles = 0, local = 0, remote = 0, polls = 0, allocs = 0,
+            hits = 0;
+  double idle_s = 0.0, blocked_s = 0.0;
+  for (const auto& st : result.rank_stats) {
+    tiles += st.tiles_executed;
+    local += st.local_edges;
+    remote += st.remote_edges;
+    polls += st.polls;
+    allocs += st.edge_allocs;
+    hits += st.pool_hits;
+    idle_s += st.idle_seconds;
+    blocked_s += st.blocked_send_seconds;
+  }
+  EXPECT_GT(remote, 0) << "the run must exercise the remote-edge path";
+  EXPECT_EQ(delta("runtime.tiles_executed"), tiles);
+  EXPECT_EQ(delta("runtime.local_edges"), local);
+  EXPECT_EQ(delta("runtime.remote_edges"), remote);
+  EXPECT_EQ(delta("runtime.polls"), polls);
+  EXPECT_EQ(delta("runtime.edge_alloc"), allocs);
+  EXPECT_EQ(delta("runtime.pool_hit"), hits);
+  // Nanosecond counters against second fields: equal up to the rounding
+  // of each recorded stretch to whole nanoseconds.
+  EXPECT_NEAR(static_cast<double>(delta("runtime.idle_ns")), idle_s * 1e9,
+              1e4);
+  EXPECT_NEAR(static_cast<double>(delta("runtime.blocked_send_ns")),
+              blocked_s * 1e9, 1e4);
+  EXPECT_EQ(reg.histogram("runtime.tile_latency_ns").count() - latency0,
+            tiles);
 }
 
 // ---- session options ------------------------------------------------------

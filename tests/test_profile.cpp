@@ -118,7 +118,7 @@ TEST(ProfileSampler, StartStopChurn) {
     std::vector<std::thread> workers;
     for (int w = 0; w < 3; ++w) {
       workers.emplace_back([w] {
-        ProfileThreadScope scope(true, /*rank=*/w, /*thread=*/0);
+        ProfileThreadScope scope(/*rank=*/w, /*thread=*/0);
         for (int i = 0; i < 2000; ++i) {
           const bool f = profile_frame_push(Phase::kTileExecute);
           const bool win = Profiler::tile_begin();
