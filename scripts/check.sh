@@ -319,7 +319,7 @@ if [[ "${1:-}" != "--quick" ]]; then
     test_engine test_hotpath test_monitor test_codegen_passes test_faults \
     test_profile test_msgtrace
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'MiniMpi|Runtime|Obs|Engine|Tracer|Metrics|Export|Hotpath|Monitor|CodegenPasses|Fault|Chaos|Checkpoint|TableState|Profile|SchemaRegistry|MsgTrace' \
+    -R 'MiniMpi|Transport|Runtime|Obs|Engine|Tracer|Metrics|Export|Hotpath|Monitor|CodegenPasses|Fault|Chaos|Checkpoint|TableState|Profile|SchemaRegistry|MsgTrace' \
     -E 'ChaosSoak.Replay100'
 
   echo "==== DPGEN_TRACE=0 pass (tracing compiled out)"

@@ -39,8 +39,8 @@ struct GenOptions {
   bool track_max = false;
   /// Optimization passes applied to the emitted center loop and tile
   /// buffer layout (docs/codegen.md).  Default: none — the paper's plain
-  /// Fig. 3 emission.  Programs generated with loop passes also accept
-  /// --passes=none|full at run time to fall back to the plain nest.
+  /// Fig. 3 emission, which is also the byte-identical reference a
+  /// pass-enabled program is checked against.
   PassPipeline passes;
 };
 

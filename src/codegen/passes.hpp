@@ -43,9 +43,7 @@
 // same order with the same values, and the differential suites
 // (tests/test_codegen_passes.cpp, tests/test_codegen_fuzz.cpp) assert
 // byte-identical RESULT/MAX lines against the pass-free program and the
-// interpreter for every subset.  Generated programs additionally accept
-// `--passes=none|full` at run time to fall back to the plain loop (the
-// layout pass is baked into the geometry and cannot be toggled).
+// interpreter for every subset.
 
 #include <string>
 #include <vector>
@@ -71,8 +69,7 @@ struct PassPipeline {
   /// True when any pass is enabled.
   bool any() const { return canonicalize || unroll || layout; }
   /// True when a pass rewriting the loop body (not just the buffer
-  /// geometry) is enabled — these are the passes the generated program's
-  /// --passes= flag can disable at run time.
+  /// geometry) is enabled.
   bool loop_passes() const { return canonicalize || unroll; }
 
   /// Parses a pass list; throws dpgen::Error on unknown pass names or

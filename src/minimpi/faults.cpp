@@ -235,9 +235,9 @@ PostResult FaultInjector::try_post(int src, int dst, Message& m) {
       action = Action::kSwallow;
     } else if (m.tag >= 0) {
       // Link faults hit the data plane only (nonnegative tags).  The
-      // collective tag space (broadcast / gather, negative tags) is
-      // exempt: those run after every rank's worker loop drained, where a
-      // dropped message would hang the run with nothing left to trigger
+      // collective tag space (gather, a negative tag) is exempt: it
+      // runs after every rank's worker loop drained, where a dropped
+      // message would hang the run with nothing left to trigger
       // recovery — real MPI collectives similarly fail fast rather than
       // silently losing contributions.
       const std::size_t link = static_cast<std::size_t>(src) *
@@ -301,19 +301,9 @@ void FaultInjector::wait_capacity(int src, int dst) {
   inner_->wait_capacity(src, dst);
 }
 
-bool FaultInjector::probe(int rank, int* src, int* tag) {
-  account_op(rank);
-  return inner_->probe(rank, src, tag);
-}
-
 std::optional<Message> FaultInjector::collect(int rank) {
   account_op(rank);
   return inner_->collect(rank);
-}
-
-Message FaultInjector::collect_blocking(int rank) {
-  account_op(rank);
-  return inner_->collect_blocking(rank);
 }
 
 std::optional<Message> FaultInjector::collect_match(int rank, int src,

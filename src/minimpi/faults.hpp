@@ -92,18 +92,12 @@ class FaultInjector final : public Transport {
   FaultInjector(std::shared_ptr<InProcessTransport> inner, FaultPlan plan);
 
   int nranks() const override { return inner_->nranks(); }
-  std::size_t capacity() const override { return inner_->capacity(); }
 
   PostResult try_post(int src, int dst, Message& m) override;
-  bool would_block(int dst) const override {
-    return inner_->would_block(dst);
-  }
   std::size_t depth(int rank) const override { return inner_->depth(rank); }
   void wait_capacity(int src, int dst) override;
 
-  bool probe(int rank, int* src, int* tag) override;
   std::optional<Message> collect(int rank) override;
-  Message collect_blocking(int rank) override;
   std::optional<Message> collect_match(int rank, int src, int tag) override;
 
   std::vector<int> dead_ranks() const override;

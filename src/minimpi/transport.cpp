@@ -43,12 +43,11 @@ InProcessTransport::InProcessTransport(int nranks,
   DPGEN_CHECK(nranks >= 1, "transport needs at least one rank");
   for (int r = 0; r < nranks; ++r)
     boxes_.push_back(std::make_unique<Mailbox>());
-  // Wake every parked sender and receiver when the stack is poisoned; the
-  // wait predicates below re-check failed() and throw.
+  // Wake every parked sender when the stack is poisoned; the wait
+  // predicate below re-checks failed() and throws.
   add_failure_listener([this] {
     for (auto& b : boxes_) {
       std::lock_guard<std::mutex> lock(b->mu);
-      b->not_empty.notify_all();
       b->not_full.notify_all();
     }
   });
@@ -58,14 +57,10 @@ PostResult InProcessTransport::try_post(int src, int dst, Message& m) {
   (void)src;
   check_alive();
   Mailbox& b = box(dst);
-  {
-    std::lock_guard<std::mutex> lock(b.mu);
-    if (capacity_ > 0 && b.queue.size() >= capacity_)
-      return PostResult::kFull;
-    if (m.env.seq >= 0) m.env.admit_ns = obs::MsgTracer::now_ns();
-    b.queue.push_back(std::move(m));
-  }
-  b.not_empty.notify_one();
+  std::lock_guard<std::mutex> lock(b.mu);
+  if (capacity_ > 0 && b.queue.size() >= capacity_) return PostResult::kFull;
+  if (m.env.seq >= 0) m.env.admit_ns = obs::MsgTracer::now_ns();
+  b.queue.push_back(std::move(m));
   return PostResult::kDelivered;
 }
 
@@ -73,13 +68,6 @@ std::size_t InProcessTransport::depth(int rank) const {
   Mailbox& b = box(rank);
   std::lock_guard<std::mutex> lock(b.mu);
   return b.queue.size();
-}
-
-bool InProcessTransport::would_block(int dst) const {
-  if (capacity_ == 0) return false;
-  Mailbox& b = box(dst);
-  std::lock_guard<std::mutex> lock(b.mu);
-  return b.queue.size() >= capacity_;
 }
 
 void InProcessTransport::wait_capacity(int src, int dst) {
@@ -90,16 +78,6 @@ void InProcessTransport::wait_capacity(int src, int dst) {
     return failed() || capacity_ == 0 || b.queue.size() < capacity_;
   });
   check_alive();
-}
-
-bool InProcessTransport::probe(int rank, int* src, int* tag) {
-  check_alive();
-  Mailbox& b = box(rank);
-  std::lock_guard<std::mutex> lock(b.mu);
-  if (b.queue.empty()) return false;
-  if (src) *src = b.queue.front().source;
-  if (tag) *tag = b.queue.front().tag;
-  return true;
 }
 
 std::optional<Message> InProcessTransport::collect(int rank) {
@@ -113,24 +91,13 @@ std::optional<Message> InProcessTransport::collect(int rank) {
   return m;
 }
 
-Message InProcessTransport::collect_blocking(int rank) {
-  Mailbox& b = box(rank);
-  std::unique_lock<std::mutex> lock(b.mu);
-  b.not_empty.wait(lock, [&] { return failed() || !b.queue.empty(); });
-  check_alive();
-  Message m = std::move(b.queue.front());
-  b.queue.pop_front();
-  b.not_full.notify_one();
-  return m;
-}
-
 std::optional<Message> InProcessTransport::collect_match(int rank, int src,
                                                          int tag) {
   check_alive();
   Mailbox& b = box(rank);
   std::lock_guard<std::mutex> lock(b.mu);
   for (auto it = b.queue.begin(); it != b.queue.end(); ++it) {
-    if ((src >= 0 && it->source != src) || (tag >= 0 && it->tag != tag))
+    if ((src != -1 && it->source != src) || (tag != -1 && it->tag != tag))
       continue;
     Message m = std::move(*it);
     b.queue.erase(it);
@@ -142,13 +109,10 @@ std::optional<Message> InProcessTransport::collect_match(int rank, int src,
 
 void InProcessTransport::force_post(int dst, Message&& m) {
   Mailbox& b = box(dst);
-  {
-    std::lock_guard<std::mutex> lock(b.mu);
-    // Delayed / duplicated reinjections admit now, not when first posted.
-    if (m.env.seq >= 0) m.env.admit_ns = obs::MsgTracer::now_ns();
-    b.queue.push_back(std::move(m));
-  }
-  b.not_empty.notify_one();
+  std::lock_guard<std::mutex> lock(b.mu);
+  // Delayed / duplicated reinjections admit now, not when first posted.
+  if (m.env.seq >= 0) m.env.admit_ns = obs::MsgTracer::now_ns();
+  b.queue.push_back(std::move(m));
 }
 
 }  // namespace dpgen::minimpi

@@ -76,8 +76,6 @@ class Transport {
   Transport& operator=(const Transport&) = delete;
 
   virtual int nranks() const = 0;
-  /// Mailbox capacity (0 = unbounded).
-  virtual std::size_t capacity() const = 0;
 
   // ---- sending (src = posting rank) ----
 
@@ -86,14 +84,9 @@ class Transport {
   /// the same buffer.
   virtual PostResult try_post(int src, int dst, Message& m) = 0;
 
-  /// Cheap capacity hint: true when a try_post to dst would likely return
-  /// kFull right now.  Racy by nature (another sender can change the
-  /// answer immediately); purely an optimisation to skip payload copies.
-  virtual bool would_block(int dst) const = 0;
-
   /// Current depth of `rank`'s mailbox — a backpressure gauge for the
-  /// monitor, racy like would_block.  Transports without a queue to
-  /// inspect report 0.
+  /// monitor, racy by nature (another sender can change the answer
+  /// immediately).  Transports without a queue to inspect report 0.
   virtual std::size_t depth(int rank) const {
     (void)rank;
     return 0;
@@ -105,10 +98,8 @@ class Transport {
 
   // ---- receiving (rank = owner of the polled mailbox) ----
 
-  virtual bool probe(int rank, int* src, int* tag) = 0;
+  /// Pops the oldest message, if any.
   virtual std::optional<Message> collect(int rank) = 0;
-  /// Blocks until a message arrives (or the transport fails).
-  virtual Message collect_blocking(int rank) = 0;
   /// Pops the oldest message matching source/tag (-1 = any), if present.
   virtual std::optional<Message> collect_match(int rank, int src,
                                                int tag) = 0;
@@ -160,26 +151,22 @@ class Transport {
   std::shared_ptr<FailureState> state_;
 };
 
-/// The in-process implementation: per-rank bounded mailboxes (mutex + two
-/// condition variables + a deque), exactly the machinery World itself held
-/// before the Transport split.  Blocking waits are failure-aware: fail()
-/// notifies every condition variable and the wait predicates re-check the
-/// poisoned flag, so no rank stays parked on a dead transport.
+/// The in-process implementation: per-rank bounded mailboxes (mutex +
+/// condition variable + a deque), exactly the machinery World itself held
+/// before the Transport split.  The blocking wait is failure-aware: fail()
+/// notifies every condition variable and the wait predicate re-checks the
+/// poisoned flag, so no sender stays parked on a dead transport.
 class InProcessTransport final : public Transport {
  public:
   InProcessTransport(int nranks, std::size_t mailbox_capacity);
 
   int nranks() const override { return static_cast<int>(boxes_.size()); }
-  std::size_t capacity() const override { return capacity_; }
 
   PostResult try_post(int src, int dst, Message& m) override;
-  bool would_block(int dst) const override;
   std::size_t depth(int rank) const override;
   void wait_capacity(int src, int dst) override;
 
-  bool probe(int rank, int* src, int* tag) override;
   std::optional<Message> collect(int rank) override;
-  Message collect_blocking(int rank) override;
   std::optional<Message> collect_match(int rank, int src, int tag) override;
 
   /// Appends regardless of capacity.  The fault layer uses it to reinject
@@ -190,7 +177,6 @@ class InProcessTransport final : public Transport {
  private:
   struct Mailbox {
     mutable std::mutex mu;
-    std::condition_variable not_empty;
     std::condition_variable not_full;
     std::deque<Message> queue;
   };

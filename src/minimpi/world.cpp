@@ -1,42 +1,14 @@
 #include "minimpi/world.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <exception>
 #include <thread>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 
 namespace dpgen::minimpi {
-
-namespace {
-
-/// Cached registry handles (the send path must only touch atomics).
-obs::Counter& messages_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("comm.messages_sent");
-  return c;
-}
-obs::Counter& bytes_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("comm.bytes_sent");
-  return c;
-}
-obs::Counter& blocked_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("comm.blocked_sends");
-  return c;
-}
-obs::Histogram& message_bytes_histogram() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::instance().histogram("comm.message_bytes");
-  return h;
-}
-
-}  // namespace
 
 World::World(int nranks, std::size_t mailbox_capacity,
              std::shared_ptr<Transport> transport)
@@ -54,124 +26,82 @@ World::World(int nranks, std::size_t mailbox_capacity,
     std::lock_guard<std::mutex> lock(barrier_mu_);
     barrier_cv_.notify_all();
   });
-  // Registry instruments are process-wide (shared by every source rank),
-  // so resolve each destination's handle once and hand it to all Comms.
-  std::vector<obs::Counter*> peer_messages, peer_bytes;
-  auto& registry = obs::MetricsRegistry::instance();
-  for (int r = 0; r < nranks; ++r) {
-    peer_messages.push_back(&registry.counter(cat("comm.messages_sent.to", r)));
-    peer_bytes.push_back(&registry.counter(cat("comm.bytes_sent.to", r)));
-  }
   for (int r = 0; r < nranks; ++r) {
     comms_.push_back(std::unique_ptr<Comm>(new Comm()));
     comms_.back()->world_ = this;
     comms_.back()->rank_ = r;
     comms_.back()->peers_ =
         std::vector<Comm::PeerStats>(static_cast<std::size_t>(nranks));
-    for (int dst = 0; dst < nranks; ++dst) {
-      auto& peer = comms_.back()->peers_[static_cast<std::size_t>(dst)];
-      peer.messages_counter = peer_messages[static_cast<std::size_t>(dst)];
-      peer.bytes_counter = peer_bytes[static_cast<std::size_t>(dst)];
-    }
   }
 }
 
-std::vector<std::vector<std::uint64_t>> World::bytes_matrix() const {
+template <typename F>
+std::vector<std::vector<std::uint64_t>> World::link_matrix(F per_link) const {
   std::vector<std::vector<std::uint64_t>> m(comms_.size());
   for (std::size_t src = 0; src < comms_.size(); ++src)
     for (std::size_t dst = 0; dst < comms_.size(); ++dst)
-      m[src].push_back(comms_[src]->bytes_sent_to(static_cast<int>(dst)));
+      m[src].push_back(per_link(*comms_[src], dst));
   return m;
+}
+
+std::vector<std::vector<std::uint64_t>> World::bytes_matrix() const {
+  return link_matrix([](const Comm& c, std::size_t dst) {
+    return c.peers_[dst].bytes.load(std::memory_order_relaxed);
+  });
 }
 
 std::vector<std::vector<std::uint64_t>> World::messages_matrix() const {
-  std::vector<std::vector<std::uint64_t>> m(comms_.size());
-  for (std::size_t src = 0; src < comms_.size(); ++src)
-    for (std::size_t dst = 0; dst < comms_.size(); ++dst)
-      m[src].push_back(comms_[src]->messages_sent_to(static_cast<int>(dst)));
-  return m;
+  return link_matrix([](const Comm& c, std::size_t dst) {
+    return c.peers_[dst].messages.load(std::memory_order_relaxed);
+  });
 }
 
 std::vector<std::vector<std::uint64_t>> World::sent_matrix() const {
-  std::vector<std::vector<std::uint64_t>> m(comms_.size());
-  for (std::size_t src = 0; src < comms_.size(); ++src)
-    for (std::size_t dst = 0; dst < comms_.size(); ++dst)
-      m[src].push_back(comms_[src]->peers_[dst].data_seq.load(
-          std::memory_order_relaxed));
-  return m;
+  return link_matrix([](const Comm& c, std::size_t dst) {
+    return c.peers_[dst].data_seq.load(std::memory_order_relaxed);
+  });
 }
 
 int Comm::size() const { return world_->size(); }
 
 Transport& Comm::transport() { return *world_->transport_; }
 
+std::uint64_t Comm::messages_sent() const {
+  std::uint64_t n = 0;
+  for (const PeerStats& p : peers_)
+    n += p.messages.load(std::memory_order_relaxed);
+  return n;
+}
+
+std::uint64_t Comm::bytes_sent() const {
+  std::uint64_t n = 0;
+  for (const PeerStats& p : peers_) n += p.bytes.load(std::memory_order_relaxed);
+  return n;
+}
+
 void Comm::count_send(int dst, std::size_t bytes) {
-  ++messages_sent_;
-  bytes_sent_ += bytes;
   auto& peer = peers_[static_cast<std::size_t>(dst)];
   peer.messages.fetch_add(1, std::memory_order_relaxed);
   peer.bytes.fetch_add(bytes, std::memory_order_relaxed);
-  messages_counter().increment();
-  bytes_counter().add(static_cast<std::int64_t>(bytes));
-  peer.messages_counter->increment();
-  peer.bytes_counter->add(static_cast<std::int64_t>(bytes));
-  message_bytes_histogram().observe(static_cast<std::int64_t>(bytes));
+  message_bytes_.observe(static_cast<std::int64_t>(bytes));
 }
 
-void Comm::count_blocked() {
-  ++blocked_sends_;
-  blocked_counter().increment();
-}
-
-void Comm::send_impl(int dst, int tag, std::vector<std::uint8_t>&& payload) {
-  const std::size_t bytes = payload.size();
+void Comm::send(int dst, int tag, const void* data, std::size_t bytes) {
+  DPGEN_CHECK(dst >= 0 && dst < size(), cat("send to invalid rank ", dst));
   Message m;
   m.source = rank_;
   m.tag = tag;
-  m.payload = std::move(payload);
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  m.payload.assign(p, p + bytes);
   Transport& t = transport();
   if (t.try_post(rank_, dst, m) == PostResult::kFull) {
-    count_blocked();
+    blocked_sends_.fetch_add(1, std::memory_order_relaxed);
     obs::ScopedSpan span(obs::Phase::kBlockedSend);
     do {
       t.wait_capacity(rank_, dst);
     } while (t.try_post(rank_, dst, m) == PostResult::kFull);
   }
   count_send(dst, bytes);
-}
-
-void Comm::send(int dst, int tag, const void* data, std::size_t bytes) {
-  DPGEN_CHECK(dst >= 0 && dst < size(), cat("send to invalid rank ", dst));
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  send_impl(dst, tag, std::vector<std::uint8_t>(p, p + bytes));
-}
-
-void Comm::send(int dst, int tag, std::vector<std::uint8_t>&& payload) {
-  DPGEN_CHECK(dst >= 0 && dst < size(), cat("send to invalid rank ", dst));
-  send_impl(dst, tag, std::move(payload));
-}
-
-bool Comm::try_send(int dst, int tag, const void* data, std::size_t bytes) {
-  DPGEN_CHECK(dst >= 0 && dst < size(), cat("send to invalid rank ", dst));
-  Transport& t = transport();
-  // The payload is copied only after the capacity hint passes, so a
-  // polling retry loop does not pay for copies that would be thrown away.
-  if (t.would_block(dst)) {
-    t.check_alive();
-    count_blocked();
-    return false;
-  }
-  Message m;
-  m.source = rank_;
-  m.tag = tag;
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  m.payload.assign(p, p + bytes);
-  if (t.try_post(rank_, dst, m) == PostResult::kFull) {
-    count_blocked();
-    return false;
-  }
-  count_send(dst, bytes);
-  return true;
 }
 
 bool Comm::try_send(int dst, int tag, std::vector<std::uint8_t>& payload,
@@ -186,80 +116,19 @@ bool Comm::try_send(int dst, int tag, std::vector<std::uint8_t>& payload,
   m.payload = std::move(payload);
   if (t.try_post(rank_, dst, m) == PostResult::kFull) {
     payload = std::move(m.payload);  // untouched for the caller's retry
-    count_blocked();
+    blocked_sends_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   count_send(dst, bytes);
   return true;
 }
 
-bool Comm::iprobe(int* src, int* tag) {
-  return transport().probe(rank_, src, tag);
-}
-
 std::optional<Message> Comm::try_recv() { return transport().collect(rank_); }
 
 std::size_t Comm::mailbox_depth() { return transport().depth(rank_); }
 
-Message Comm::recv() { return transport().collect_blocking(rank_); }
-
-std::optional<Message> Comm::try_recv_match(int source, int tag) {
-  return transport().collect_match(rank_, source, tag);
-}
-
 void Comm::declare_failure(const std::string& reason) {
   transport().fail(cat("rank ", rank_, ": ", reason));
-}
-
-Request Comm::isend(int dst, int tag, const void* data, std::size_t bytes) {
-  DPGEN_CHECK(dst >= 0 && dst < size(), cat("isend to invalid rank ", dst));
-  Request r;
-  r.comm_ = this;
-  r.kind_ = Request::Kind::kSend;
-  r.dst_ = dst;
-  r.tag_ = tag;
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  r.payload_.assign(p, p + bytes);
-  r.test();  // attempt immediate delivery
-  return r;
-}
-
-Request Comm::irecv(int source, int tag) {
-  Request r;
-  r.comm_ = this;
-  r.kind_ = Request::Kind::kRecv;
-  r.want_src_ = source;
-  r.want_tag_ = tag;
-  r.test();
-  return r;
-}
-
-bool Request::test() {
-  if (done_) return true;
-  DPGEN_CHECK(kind_ != Kind::kInvalid, "test() on an empty Request");
-  if (kind_ == Kind::kSend) {
-    if (comm_->try_send(dst_, tag_, payload_.data(), payload_.size())) {
-      payload_.clear();
-      payload_.shrink_to_fit();
-      done_ = true;
-    }
-  } else {
-    if (auto m = comm_->try_recv_match(want_src_, want_tag_)) {
-      received_ = std::move(*m);
-      done_ = true;
-    }
-  }
-  return done_;
-}
-
-void Request::wait() {
-  while (!test()) std::this_thread::yield();
-}
-
-const Message& Request::message() const {
-  DPGEN_CHECK(kind_ == Kind::kRecv && done_,
-              "message() requires a completed receive request");
-  return received_;
 }
 
 void Comm::barrier() {
@@ -283,46 +152,39 @@ void Comm::barrier() {
   }
 }
 
-Int Comm::allreduce_sum(Int value) {
-  return world_->allreduce_round<Int>(value, false, world_->accum_int_,
-                                      world_->result_int_);
-}
-
-double Comm::allreduce_sum(double value) {
-  return world_->allreduce_round<double>(value, false, world_->accum_dbl_,
-                                         world_->result_dbl_);
-}
-
 double Comm::allreduce_max(double value) {
-  return world_->allreduce_round<double>(value, true, world_->accum_dbl_,
-                                         world_->result_dbl_);
+  World& w = *world_;
+  Transport& t = transport();
+  t.check_alive();
+  std::unique_lock<std::mutex> lock(w.barrier_mu_);
+  const std::uint64_t gen = w.reduce_generation_;
+  if (w.reduce_arrived_ == 0 || w.reduce_accum_ < value)
+    w.reduce_accum_ = value;
+  if (++w.reduce_arrived_ == size()) {
+    w.reduce_arrived_ = 0;
+    w.reduce_result_ = w.reduce_accum_;
+    ++w.reduce_generation_;
+    w.barrier_cv_.notify_all();
+    return w.reduce_result_;
+  }
+  // Failure-aware: a poisoned transport wakes the waiters (via the
+  // listener registered in the constructor) and they throw instead of
+  // waiting forever for ranks that will never arrive.
+  w.barrier_cv_.wait(lock, [&] {
+    return w.reduce_generation_ != gen || t.failed();
+  });
+  if (w.reduce_generation_ == gen) {
+    --w.reduce_arrived_;  // round abandoned; leave state consistent
+    t.check_alive();
+  }
+  return w.reduce_result_;
 }
 
 namespace {
-/// Tag space reserved for collectives; user tags are nonnegative ints so
-/// these cannot collide.
-constexpr int kBcastTag = -101;
+/// Tag reserved for gather; user tags are nonnegative ints so it cannot
+/// collide.
 constexpr int kGatherTag = -102;
 }  // namespace
-
-void Comm::broadcast(int root, void* data, std::size_t bytes) {
-  DPGEN_CHECK(root >= 0 && root < size(), "broadcast: invalid root");
-  if (rank_ == root) {
-    for (int r = 0; r < size(); ++r)
-      if (r != root) send(r, kBcastTag, data, bytes);
-  } else {
-    while (true) {
-      if (auto m = try_recv_match(root, kBcastTag)) {
-        DPGEN_CHECK(m->payload.size() == bytes,
-                    "broadcast: payload size mismatch");
-        std::memcpy(data, m->payload.data(), bytes);
-        break;
-      }
-      std::this_thread::yield();
-    }
-  }
-  barrier();
-}
 
 void Comm::gather(int root, const void* send_buf, std::size_t bytes,
                   std::vector<std::uint8_t>* out) {
@@ -336,7 +198,7 @@ void Comm::gather(int root, const void* send_buf, std::size_t bytes,
                   static_cast<std::ptrdiff_t>(
                       static_cast<std::size_t>(rank_) * bytes));
     for (int received = 0; received < size() - 1;) {
-      if (auto m = try_recv_match(-1, kGatherTag)) {
+      if (auto m = transport().collect_match(rank_, -1, kGatherTag)) {
         DPGEN_CHECK(m->payload.size() == bytes,
                     "gather: payload size mismatch");
         std::copy(m->payload.begin(), m->payload.end(),

@@ -4,22 +4,28 @@
 // The paper's generated programs are hybrid OpenMP + MPI; this container
 // has no MPI installation, so minimpi supplies the message-passing layer
 // (see DESIGN.md, substitutions): ranks run as std::threads inside one
-// process, each with a tagged mailbox.  Sends copy the payload into the
-// destination mailbox (blocking when the mailbox is at capacity, which
-// models the generated programs' configurable number of send/receive
-// buffers); receives are by polling (iprobe/try_recv) or blocking (recv).
-// Collectives (barrier, allreduce) follow MPI semantics.
+// process, each with a tagged mailbox.  It offers exactly the calls the
+// runtime makes, each with its MPI analogue:
+//
+//   Comm::try_send     MPI_Isend + MPI_Test on a bounded buffer budget (a
+//                      full destination mailbox returns false, so the
+//                      worker loop services its own mailbox meanwhile)
+//   Comm::send         MPI_Send (blocking; used by gather)
+//   Comm::try_recv     MPI_Iprobe + MPI_Recv (receive by polling)
+//   Comm::barrier      MPI_Barrier
+//   Comm::allreduce_max  MPI_Allreduce(MPI_MAX)
+//   Comm::gather       MPI_Gather
 //
 // The byte-moving substrate itself lives behind the Transport interface
 // (transport.hpp): World/Comm implement the MPI-shaped semantics on top
 // of whatever Transport they are constructed with — the in-process
 // mailboxes by default, or a fault-injecting decorator (faults.hpp) for
 // chaos testing.  When the transport fails, every blocked collective and
-// receive wakes up and throws TransportFailure.
+// send wakes up and throws TransportFailure.
 //
-// Everything the runtime does with this interface maps 1:1 onto real MPI
-// calls (MPI_Send/MPI_Iprobe/MPI_Recv/MPI_Barrier/MPI_Allreduce), so
-// generated code can be retargeted by swapping this header's backend.
+// Comm keeps one set of counters (per-peer messages/bytes, blocked sends
+// and a message-size histogram); the runtime publishes them to the
+// metrics registry once per run (runtime::run_facts).
 
 #include <atomic>
 #include <condition_variable>
@@ -32,52 +38,11 @@
 #include <vector>
 
 #include "minimpi/transport.hpp"
-#include "support/checked.hpp"
-
-namespace dpgen::obs {
-class Counter;
-}
+#include "obs/metrics.hpp"
 
 namespace dpgen::minimpi {
 
 class World;
-
-class Comm;
-
-/// Handle for a nonblocking operation (MPI_Request analogue).  Obtained
-/// from Comm::isend / Comm::irecv; poll with test() or block with wait().
-/// Requests are movable, single-owner, and must not outlive their Comm.
-class Request {
- public:
-  Request() = default;
-
-  /// True once the operation completed (idempotent after completion).
-  bool test();
-
-  /// Blocks (by polling) until completion.
-  void wait();
-
-  bool done() const { return done_; }
-
-  /// The received message; only valid for completed irecv requests.
-  const Message& message() const;
-
- private:
-  friend class Comm;
-  enum class Kind { kInvalid, kSend, kRecv };
-
-  Comm* comm_ = nullptr;
-  Kind kind_ = Kind::kInvalid;
-  bool done_ = false;
-  // send state
-  int dst_ = -1;
-  int tag_ = 0;
-  std::vector<std::uint8_t> payload_;
-  // recv state
-  int want_src_ = -1;  // -1 = any
-  int want_tag_ = -1;  // -1 = any
-  Message received_;
-};
 
 /// A rank's endpoint: everything a node runtime needs to communicate.
 /// Thread-safe: multiple worker threads of one rank may use it concurrently
@@ -91,26 +56,16 @@ class Comm {
   /// destination mailbox is at capacity (capacity 0 = unbounded).
   void send(int dst, int tag, const void* data, std::size_t bytes);
 
-  /// Move-in variant: the payload vector's heap storage becomes the
-  /// mailbox Message's, with no intermediate copy (the MPI analogue is a
-  /// buffer handed to MPI_Send and reused after return; here ownership
-  /// transfers outright, which is what lets the runtime pool wire
-  /// buffers end to end).
-  void send(int dst, int tag, std::vector<std::uint8_t>&& payload);
-
   /// Non-blocking send: returns false (without sending) when the
   /// destination mailbox is at capacity.  Callers that hold work to do —
   /// like the tile worker loop — use this and service their own mailbox
   /// while waiting, which avoids cyclic send deadlocks under small buffer
-  /// budgets.
-  bool try_send(int dst, int tag, const void* data, std::size_t bytes);
-
-  /// Move-in variant of try_send: on success the payload is moved into
-  /// the mailbox (and left empty); on failure it is untouched, so a
-  /// retry loop keeps using the same buffer.  When `env` is non-null the
-  /// message carries that lifecycle envelope (causal message tracing);
-  /// retries of the same message must reuse the same envelope so the
-  /// sequence number is assigned exactly once.
+  /// budgets.  On success the payload is moved into the mailbox (and left
+  /// empty); on failure it is untouched, so a retry loop keeps using the
+  /// same buffer.  When `env` is non-null the message carries that
+  /// lifecycle envelope (causal message tracing); retries of the same
+  /// message must reuse the same envelope so the sequence number is
+  /// assigned exactly once.
   bool try_send(int dst, int tag, std::vector<std::uint8_t>& payload,
                 const MsgEnvelope* env = nullptr);
 
@@ -125,42 +80,15 @@ class Comm {
   /// Current depth of this rank's own mailbox (backpressure gauge).
   std::size_t mailbox_depth();
 
-  /// True when a message is waiting; fills src/tag when non-null.
-  bool iprobe(int* src = nullptr, int* tag = nullptr);
-
   /// Pops the oldest waiting message, if any.
   std::optional<Message> try_recv();
-
-  /// Blocks until a message arrives.
-  Message recv();
-
-  /// Nonblocking send: the payload is copied immediately; delivery
-  /// happens on test()/wait() when the destination mailbox has space
-  /// (immediately when unbounded).
-  Request isend(int dst, int tag, const void* data, std::size_t bytes);
-
-  /// Nonblocking receive matching source/tag (-1 = any).  Completion is
-  /// checked on test()/wait(); the matched message may arrive out of
-  /// arrival order relative to non-matching messages (MPI matching).
-  Request irecv(int source = -1, int tag = -1);
-
-  /// Pops the oldest message matching source/tag (-1 = any), if present.
-  std::optional<Message> try_recv_match(int source, int tag);
 
   /// Blocks until every rank has entered the barrier — or the transport
   /// fails, in which case TransportFailure is thrown.
   void barrier();
 
-  /// Sum-reduction over all ranks; every rank receives the total.
-  Int allreduce_sum(Int value);
-  double allreduce_sum(double value);
-
-  /// Max-reduction over all ranks.
+  /// Max-reduction over all ranks; every rank receives the maximum.
   double allreduce_max(double value);
-
-  /// Broadcast: every rank receives root's bytes (MPI_Bcast semantics —
-  /// all ranks call with the same root; buffers must be `bytes` long).
-  void broadcast(int root, void* data, std::size_t bytes);
 
   /// Gather: root receives size() payloads concatenated in rank order
   /// (each rank contributes `bytes` bytes); non-root out stays untouched.
@@ -175,14 +103,8 @@ class Comm {
   void declare_failure(const std::string& reason);
 
   // ---- statistics (atomic: several worker threads share one Comm) ---------
-  std::uint64_t messages_sent() const { return messages_sent_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
-  /// Number of sends that found the destination mailbox full.
-  std::uint64_t blocked_sends() const { return blocked_sends_; }
-
   /// Per-peer send totals (the communication-matrix source: row = this
-  /// rank, column = dst).  Collective traffic (broadcast/gather) counts
-  /// too, so summing a row reproduces messages_sent()/bytes_sent().
+  /// rank, column = dst).  Gather traffic counts too.
   std::uint64_t messages_sent_to(int dst) const {
     return peers_[static_cast<std::size_t>(dst)].messages.load(
         std::memory_order_relaxed);
@@ -191,12 +113,19 @@ class Comm {
     return peers_[static_cast<std::size_t>(dst)].bytes.load(
         std::memory_order_relaxed);
   }
+  /// Row sums of the per-peer counters.
+  std::uint64_t messages_sent() const;
+  std::uint64_t bytes_sent() const;
+  /// Number of sends that found the destination mailbox full.
+  std::uint64_t blocked_sends() const {
+    return blocked_sends_.load(std::memory_order_relaxed);
+  }
+  /// Payload size of every message this rank sent.
+  const obs::Histogram& message_bytes() const { return message_bytes_; }
 
  private:
   friend class World;
 
-  /// Per-destination counters plus cached handles for the registry's
-  /// process-wide `comm.{messages,bytes}_sent.to<dst>` instruments.
   struct PeerStats {
     std::atomic<std::uint64_t> messages{0};
     std::atomic<std::uint64_t> bytes{0};
@@ -204,24 +133,17 @@ class Comm {
     /// messages that were assigned an envelope, so it matches the
     /// msgtrace document's per-link `sent` exactly.
     std::atomic<std::uint64_t> data_seq{0};
-    obs::Counter* messages_counter = nullptr;
-    obs::Counter* bytes_counter = nullptr;
   };
 
-  /// Send accounting shared by every send path (atomics only).
+  /// Send accounting shared by both send paths (atomics only).
   void count_send(int dst, std::size_t bytes);
-  /// Accounting for a send that found the destination mailbox full.
-  void count_blocked();
-  /// Shared body of the move-in blocking sends.
-  void send_impl(int dst, int tag, std::vector<std::uint8_t>&& payload);
 
   Transport& transport();
 
   World* world_ = nullptr;
   int rank_ = -1;
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> blocked_sends_{0};
+  obs::Histogram message_bytes_;
   std::vector<PeerStats> peers_;  // sized by the World constructor
 };
 
@@ -259,6 +181,10 @@ class World {
  private:
   friend class Comm;
 
+  /// [source][destination] matrix of per_link(comm(source), destination).
+  template <typename F>
+  std::vector<std::vector<std::uint64_t>> link_matrix(F per_link) const;
+
   std::shared_ptr<Transport> transport_;
   std::vector<std::unique_ptr<Comm>> comms_;  // Comm holds atomics: pinned
 
@@ -272,39 +198,7 @@ class World {
   // matching collectives in the same order, like MPI.
   int reduce_arrived_ = 0;
   std::uint64_t reduce_generation_ = 0;
-  Int accum_int_ = 0, result_int_ = 0;
-  double accum_dbl_ = 0.0, result_dbl_ = 0.0;
-
-  /// One sum/max round shared by the allreduce overloads.  Failure-aware:
-  /// a poisoned transport wakes the waiters (via the listener registered
-  /// in the constructor) and they throw instead of waiting forever for
-  /// ranks that will never arrive.
-  template <typename T>
-  T allreduce_round(T value, bool take_max, T& accum, T& result) {
-    transport_->check_alive();
-    std::unique_lock<std::mutex> lock(barrier_mu_);
-    std::uint64_t gen = reduce_generation_;
-    if (reduce_arrived_ == 0) accum = value;
-    else if (take_max)
-      accum = accum < value ? value : accum;
-    else
-      accum = accum + value;
-    if (++reduce_arrived_ == size()) {
-      reduce_arrived_ = 0;
-      result = accum;
-      ++reduce_generation_;
-      barrier_cv_.notify_all();
-      return result;
-    }
-    barrier_cv_.wait(lock, [&] {
-      return reduce_generation_ != gen || transport_->failed();
-    });
-    if (reduce_generation_ == gen) {
-      --reduce_arrived_;  // round abandoned; leave state consistent
-      transport_->check_alive();
-    }
-    return result;
-  }
+  double reduce_accum_ = 0.0, reduce_result_ = 0.0;
 };
 
 }  // namespace dpgen::minimpi

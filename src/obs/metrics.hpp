@@ -1,13 +1,14 @@
 #pragma once
 // Named metrics: counters, gauges and log2-bucketed histograms.
 //
-// The registry subsumes the ad-hoc RunStats / TableStats / Comm counters:
-// the runtime, comm layer and tile table publish into it under a
-// dotted-name convention (`<component>.<metric>[_<unit>]`, see
-// docs/observability.md), and the whole registry dumps as one JSON or
-// text document.  Instruments are created once (mutex-guarded name
-// lookup) and then updated with single relaxed atomics, so they are safe
-// and cheap on hot paths; callers cache the returned references.
+// The runtime publishes its RunStats / TableStats / Comm counters into the
+// registry under a dotted-name convention (`<component>.<metric>[_<unit>]`,
+// see docs/observability.md), and the whole registry dumps as one JSON or
+// text document.  Publishing happens off the hot paths: `runtime.*` once
+// per rank at the end of run_node, `comm.*` and
+// `runtime.ready_queue_depth` once per run in runtime::run_facts (covering
+// the attempt that finished, after a restart).  Instruments are created
+// once (mutex-guarded name lookup) and then updated with relaxed atomics.
 
 #include <atomic>
 #include <cstdint>

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -121,28 +122,12 @@ void Monitor::publish(int rank, const RankSnapshot& snap) {
 
   const std::uint32_t s = sl.seq.load(std::memory_order_relaxed);
   Buf& b = sl.buf[((s >> 1) + 1) & 1];
-  b.epoch.store(epoch, std::memory_order_relaxed);
-  b.t_s.store(snap.t_s, std::memory_order_relaxed);
-  b.executed.store(snap.executed, std::memory_order_relaxed);
-  b.executed_cells.store(snap.executed_cells, std::memory_order_relaxed);
-  b.owned.store(snap.owned, std::memory_order_relaxed);
-  b.pending_tiles.store(snap.pending_tiles, std::memory_order_relaxed);
-  b.ready_tiles.store(snap.ready_tiles, std::memory_order_relaxed);
-  b.buffered_edges.store(snap.buffered_edges, std::memory_order_relaxed);
-  b.blocked_senders.store(snap.blocked_senders, std::memory_order_relaxed);
-  b.bytes_sent.store(snap.bytes_sent, std::memory_order_relaxed);
-  b.messages_sent.store(snap.messages_sent, std::memory_order_relaxed);
-  b.progress_marker.store(snap.progress_marker, std::memory_order_relaxed);
-  b.active_workers.store(snap.active_workers, std::memory_order_relaxed);
-  b.workers.store(snap.workers, std::memory_order_relaxed);
-  b.mailbox_depth.store(snap.mailbox_depth, std::memory_order_relaxed);
-  b.prof_cycles.store(snap.prof_cycles, std::memory_order_relaxed);
-  b.prof_instructions.store(snap.prof_instructions,
-                            std::memory_order_relaxed);
-  b.prof_sampled_cells.store(snap.prof_sampled_cells,
-                             std::memory_order_relaxed);
-  b.prof_sampled_exec_ns.store(snap.prof_sampled_exec_ns,
-                               std::memory_order_relaxed);
+  RankSnapshot stamped = snap;
+  stamped.epoch = epoch;
+  std::uint64_t words[kWords];
+  std::memcpy(words, &stamped, sizeof words);
+  for (std::size_t i = 0; i < kWords; ++i)
+    b.words[i].store(words[i], std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
   sl.seq.store(s + 2, std::memory_order_release);
 
@@ -250,28 +235,10 @@ RankSnapshot Monitor::latest(int rank) const {
     const std::uint32_t s1 = sl.seq.load(std::memory_order_acquire);
     if (s1 == 0) return out;  // nothing published yet
     const Buf& b = sl.buf[(s1 >> 1) & 1];
-    out.epoch = b.epoch.load(std::memory_order_relaxed);
-    out.t_s = b.t_s.load(std::memory_order_relaxed);
-    out.executed = b.executed.load(std::memory_order_relaxed);
-    out.executed_cells = b.executed_cells.load(std::memory_order_relaxed);
-    out.owned = b.owned.load(std::memory_order_relaxed);
-    out.pending_tiles = b.pending_tiles.load(std::memory_order_relaxed);
-    out.ready_tiles = b.ready_tiles.load(std::memory_order_relaxed);
-    out.buffered_edges = b.buffered_edges.load(std::memory_order_relaxed);
-    out.blocked_senders = b.blocked_senders.load(std::memory_order_relaxed);
-    out.bytes_sent = b.bytes_sent.load(std::memory_order_relaxed);
-    out.messages_sent = b.messages_sent.load(std::memory_order_relaxed);
-    out.progress_marker = b.progress_marker.load(std::memory_order_relaxed);
-    out.active_workers = b.active_workers.load(std::memory_order_relaxed);
-    out.workers = b.workers.load(std::memory_order_relaxed);
-    out.mailbox_depth = b.mailbox_depth.load(std::memory_order_relaxed);
-    out.prof_cycles = b.prof_cycles.load(std::memory_order_relaxed);
-    out.prof_instructions =
-        b.prof_instructions.load(std::memory_order_relaxed);
-    out.prof_sampled_cells =
-        b.prof_sampled_cells.load(std::memory_order_relaxed);
-    out.prof_sampled_exec_ns =
-        b.prof_sampled_exec_ns.load(std::memory_order_relaxed);
+    std::uint64_t words[kWords];
+    for (std::size_t i = 0; i < kWords; ++i)
+      words[i] = b.words[i].load(std::memory_order_relaxed);
+    std::memcpy(&out, words, sizeof words);
     std::atomic_thread_fence(std::memory_order_acquire);
     const std::uint32_t s2 = sl.seq.load(std::memory_order_relaxed);
     if (s1 == s2) return out;  // not lapped mid-read

@@ -53,6 +53,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace dpgen::obs {
@@ -219,29 +220,17 @@ class Monitor {
   const MonitorOptions& options() const { return opt_; }
 
  private:
-  // The two snapshot buffers mirror RankSnapshot with relaxed atomics so a
-  // lapped reader observes torn-but-well-defined values (discarded by the
-  // seq recheck) instead of a data race.
+  // The two snapshot buffers hold RankSnapshot's bytes as relaxed atomic
+  // words, so a lapped reader observes torn-but-well-defined values
+  // (discarded by the seq recheck) instead of a data race, and a new
+  // snapshot field needs no edit here.
+  static_assert(std::is_trivially_copyable_v<RankSnapshot> &&
+                    sizeof(RankSnapshot) % sizeof(std::uint64_t) == 0,
+                "RankSnapshot is copied as 64-bit words");
+  static constexpr std::size_t kWords =
+      sizeof(RankSnapshot) / sizeof(std::uint64_t);
   struct Buf {
-    std::atomic<long long> epoch{0};
-    std::atomic<double> t_s{0.0};
-    std::atomic<long long> executed{0};
-    std::atomic<long long> executed_cells{0};
-    std::atomic<long long> owned{0};
-    std::atomic<long long> pending_tiles{0};
-    std::atomic<long long> ready_tiles{0};
-    std::atomic<long long> buffered_edges{0};
-    std::atomic<long long> blocked_senders{0};
-    std::atomic<long long> bytes_sent{0};
-    std::atomic<long long> messages_sent{0};
-    std::atomic<long long> progress_marker{0};
-    std::atomic<long long> active_workers{0};
-    std::atomic<long long> workers{1};
-    std::atomic<long long> mailbox_depth{0};
-    std::atomic<long long> prof_cycles{0};
-    std::atomic<long long> prof_instructions{0};
-    std::atomic<long long> prof_sampled_cells{0};
-    std::atomic<long long> prof_sampled_exec_ns{0};
+    std::atomic<std::uint64_t> words[kWords] = {};
   };
   struct Slot {
     std::atomic<std::uint32_t> seq{0};  ///< even; (seq >> 1) & 1 = live buf

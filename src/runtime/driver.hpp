@@ -183,9 +183,40 @@ struct RunStats {
 
 /// The facts of a finished run that obs::Session::finish needs from the
 /// message layer and the per-rank statistics; the front end adds the
-/// predicted work, edge offsets, fault counts and passes.
+/// predicted work, edge offsets, fault counts and passes.  Called once
+/// after World::run (gather traffic included), it is also where the
+/// message layer's `comm.*` counters and the `runtime.ready_queue_depth`
+/// gauge reach the metrics registry: once per run, for the attempt that
+/// finished, off the send and tile paths.
 inline obs::RunFacts run_facts(const minimpi::World& world,
                                const std::vector<RunStats>& stats) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  std::int64_t messages = 0, bytes = 0, blocked = 0;
+  for (int src = 0; src < world.size(); ++src) {
+    const minimpi::Comm& c = world.comm(src);
+    for (int dst = 0; dst < world.size(); ++dst) {
+      const auto m = static_cast<std::int64_t>(c.messages_sent_to(dst));
+      const auto b = static_cast<std::int64_t>(c.bytes_sent_to(dst));
+      reg.counter(cat("comm.messages_sent.to", dst)).add(m);
+      reg.counter(cat("comm.bytes_sent.to", dst)).add(b);
+      messages += m;
+      bytes += b;
+    }
+    blocked += static_cast<std::int64_t>(c.blocked_sends());
+    if (c.message_bytes().count() > 0)
+      reg.histogram("comm.message_bytes").merge(c.message_bytes());
+  }
+  if (messages > 0) {
+    reg.counter("comm.messages_sent").add(messages);
+    reg.counter("comm.bytes_sent").add(bytes);
+  }
+  if (blocked > 0) reg.counter("comm.blocked_sends").add(blocked);
+  // The gauge keeps a level and a high-water mark: the level of a finished
+  // run is 0, the mark the deepest any rank's ready queue got.
+  obs::Gauge& depth = reg.gauge("runtime.ready_queue_depth");
+  for (const RunStats& s : stats) depth.set(s.table.peak_ready_tiles);
+  depth.set(0);
+
   obs::RunFacts f;
   f.nranks = world.size();
   f.bytes_matrix = world.bytes_matrix();

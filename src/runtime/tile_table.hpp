@@ -30,7 +30,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/msgtrace.hpp"
 #include "runtime/order.hpp"
 #include "support/error.hpp"
@@ -95,15 +94,6 @@ struct TableState {
 };
 
 namespace detail {
-/// Process-wide ready-queue depth gauge.  Fed the rank-level aggregate
-/// depth (summed across a table's shards), so its instantaneous value is a
-/// real per-rank queue depth and its max a real per-rank peak.
-inline obs::Gauge& ready_depth_gauge() {
-  static obs::Gauge& g =
-      obs::MetricsRegistry::instance().gauge("runtime.ready_queue_depth");
-  return g;
-}
-
 /// Second hash round applied before probing.  Shard selection consumes the
 /// low bits of the tile hash (h % shards), so every tile landing in one
 /// shard shares them; scrambling keeps those keys from clustering into
@@ -118,7 +108,8 @@ inline std::size_t scramble_hash(std::size_t h) {
 }  // namespace detail
 
 /// Rank-level ready-queue depth, shared by all shards of one table so the
-/// exported gauge and the TableStats peak describe the rank's real queue
+/// TableStats peak (published once per run as the
+/// `runtime.ready_queue_depth` gauge) describes the rank's real queue
 /// depth rather than a per-shard (or summed-peaks) approximation.
 class ReadyDepthAgg {
  public:
@@ -131,7 +122,6 @@ class ReadyDepthAgg {
                                           std::memory_order_relaxed)) {
       }
     }
-    detail::ready_depth_gauge().set(cur);
   }
 
   long long peak() const { return peak_.load(std::memory_order_relaxed); }
@@ -389,9 +379,6 @@ class alignas(64) TileTable {
   void push_ready(IntVec&& tile, std::vector<EdgeData<S>>&& edges) {
     ready_.push_back(ReadyTile<S>{std::move(tile), std::move(edges)});
     std::push_heap(ready_.begin(), ready_.end(), heap_before());
-    stats_.peak_ready_tiles =
-        std::max(stats_.peak_ready_tiles,
-                 static_cast<long long>(ready_.size()));
     depth_->add(1);
   }
 

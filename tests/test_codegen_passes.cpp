@@ -154,11 +154,10 @@ TEST(CodegenPassesSource, OptimizedEmissionStructure) {
   opt.passes = PassPipeline::parse("full");
   std::string src = generate_program(model, opt);
 
-  // Run-time toggle and dual emission.
-  EXPECT_NE(src.find("static bool dp_g_loop_passes = true;"),
-            std::string::npos);
-  EXPECT_NE(src.find("if (dp_g_loop_passes)"), std::string::npos);
-  EXPECT_NE(src.find("--passes="), std::string::npos);
+  // One center loop, no run-time fallback: a program generated without
+  // passes is the plain reference.
+  EXPECT_EQ(src.find("dp_g_loop_passes"), std::string::npos);
+  EXPECT_EQ(src.find("--passes="), std::string::npos);
   // Canonicalize: hoisted row base, split bounds, vectorization marker.
   EXPECT_NE(src.find("dp_row_i_s"), std::string::npos);
   EXPECT_NE(src.find("dp_sa_i_s"), std::string::npos);
@@ -275,17 +274,16 @@ TEST(CodegenPassesEndToEnd, TrellisSubsetsBitIdentical) {
         << "passes=" << v.passes;
   }
 
-  // The run-time kill switch on the full binary reproduces the plain loop.
+  // Generated programs take no --passes= option: the flag is rejected as
+  // an unknown option.
   const auto& full = variants.back();
   if (full.prog.ok) {
-    auto [status, out] =
-        run_command(cat(full.prog.binary, args, " --passes=none"));
-    ASSERT_EQ(status, 0) << out;
-    EXPECT_EQ(result_lines(out), baseline);
     auto [bad_status, bad_out] =
         run_command(cat(full.prog.binary, args, " --passes=bogus"));
     EXPECT_NE(bad_status, 0);
-    EXPECT_NE(bad_out.find("--passes"), std::string::npos) << bad_out;
+    EXPECT_NE(bad_out.find("unknown option --passes=bogus"),
+              std::string::npos)
+        << bad_out;
   }
 }
 

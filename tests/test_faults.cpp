@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -114,14 +115,14 @@ TEST(Transport, InProcessPostCollectRoundTrip) {
   InProcessTransport t(2, 0);
   Message m = make_msg(0, 7, 42);
   ASSERT_EQ(t.try_post(0, 1, m), PostResult::kDelivered);
-  int src = -1, tag = -1;
-  EXPECT_TRUE(t.probe(1, &src, &tag));
-  EXPECT_EQ(src, 0);
-  EXPECT_EQ(tag, 7);
+  EXPECT_EQ(t.depth(1), 1u);
   auto got = t.collect(1);
   ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->source, 0);
+  EXPECT_EQ(got->tag, 7);
   EXPECT_EQ(got->payload, std::vector<std::uint8_t>{42});
   EXPECT_FALSE(t.collect(1).has_value());
+  EXPECT_EQ(t.depth(1), 0u);
 }
 
 TEST(Transport, CollectMatchFiltersBySourceAndTag) {
@@ -133,6 +134,8 @@ TEST(Transport, CollectMatchFiltersBySourceAndTag) {
   auto got = t.collect_match(2, 1, 2);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->payload, std::vector<std::uint8_t>{2});
+  // A negative tag other than -1 (gather's) matches only itself.
+  EXPECT_FALSE(t.collect_match(2, -1, -102).has_value());
   EXPECT_TRUE(t.collect_match(2, -1, -1).has_value());  // wildcard
 }
 
@@ -142,17 +145,19 @@ TEST(Transport, BoundedMailboxReportsFull) {
   ASSERT_EQ(t.try_post(0, 1, a), PostResult::kDelivered);
   ASSERT_EQ(t.try_post(0, 1, b), PostResult::kFull);
   EXPECT_EQ(b.payload, std::vector<std::uint8_t>{2});  // left intact
-  EXPECT_TRUE(t.would_block(1));
+  EXPECT_EQ(t.depth(1), 1u);
   ASSERT_TRUE(t.collect(1).has_value());
   ASSERT_EQ(t.try_post(0, 1, b), PostResult::kDelivered);
 }
 
-TEST(Transport, FailurePoisonsBlockingCollect) {
-  InProcessTransport t(2, 0);
+TEST(Transport, FailureWakesParkedSender) {
+  InProcessTransport t(2, 1);
+  Message full = make_msg(0, 0, 1);
+  ASSERT_EQ(t.try_post(0, 1, full), PostResult::kDelivered);
   std::atomic<bool> threw{false};
   std::thread waiter([&] {
     try {
-      (void)t.collect_blocking(1);
+      t.wait_capacity(0, 1);  // parked: rank 1's mailbox stays full
     } catch (const TransportFailure&) {
       threw = true;
     }
@@ -175,8 +180,9 @@ TEST(Transport, WorldRunsOnExplicitTransport) {
       const int v = 41;
       comm.send(1, 0, &v, sizeof(v));
     } else {
-      Message m = comm.recv();
-      got[1] = *reinterpret_cast<const int*>(m.payload.data()) + 1;
+      std::optional<Message> m;
+      while (!(m = comm.try_recv())) std::this_thread::yield();
+      got[1] = *reinterpret_cast<const int*>(m->payload.data()) + 1;
     }
   });
   EXPECT_EQ(got[1], 42);
@@ -242,7 +248,7 @@ TEST(FaultInjectorWire, KillFiresAtOpCountAndPoisonsStack) {
   auto base = std::make_shared<InProcessTransport>(2, 0);
   FaultInjector inj(base, FaultPlan::parse("kill:0@3"));
   EXPECT_FALSE(inj.collect(0).has_value());  // op 1
-  EXPECT_FALSE(inj.probe(0, nullptr, nullptr));  // op 2
+  EXPECT_FALSE(inj.collect_match(0, -1, -1).has_value());  // op 2
   EXPECT_THROW(inj.collect(0), TransportFailure);  // op 3: dead
   EXPECT_TRUE(inj.failed());
   EXPECT_EQ(inj.dead_ranks(), std::vector<int>{0});

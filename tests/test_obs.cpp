@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -470,6 +471,107 @@ TEST(ObsEndToEnd, RuntimeMetricsEqualSummedRankStats) {
               blocked_s * 1e9, 1e4);
   EXPECT_EQ(reg.histogram("runtime.tile_latency_ns").count() - latency0,
             tiles);
+}
+
+/// Lattice-path counting on [0,N]^2 in 4x4 tiles, for the metric checks.
+tiling::TilingModel paths_model() {
+  spec::ProblemSpec s;
+  s.name("paths")
+      .params({"N"})
+      .vars({"x", "y"})
+      .constraint("x >= 0")
+      .constraint("x <= N")
+      .constraint("y >= 0")
+      .constraint("y <= N")
+      .dep("r1", {1, 0})
+      .dep("r2", {0, 1})
+      .load_balance({"x", "y"})
+      .tile_widths({4, 4})
+      .center_code("V[loc] = 0.0;");
+  return tiling::TilingModel(s);
+}
+
+void paths_center(const engine::Cell& c) {
+  double v = 0.0;
+  int any = 0;
+  if (c.valid[0]) { v += c.V[c.loc_dep[0]]; any = 1; }
+  if (c.valid[1]) { v += c.V[c.loc_dep[1]]; any = 1; }
+  c.V[c.loc] = any ? v : 1.0;
+}
+
+// The published comm.* and runtime.ready_queue_depth instruments describe
+// exactly the run's own counters: message and byte totals, blocked sends,
+// and the deepest ready queue of any rank.
+TEST(ObsEndToEnd, CommMetricsEqualRankCounters) {
+  tiling::TilingModel model = paths_model();
+  engine::EngineOptions opt;
+  opt.ranks = 2;
+  opt.threads = 2;
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  const char* names[] = {"comm.messages_sent", "comm.bytes_sent",
+                         "comm.blocked_sends", "comm.messages_sent.to0",
+                         "comm.messages_sent.to1", "comm.bytes_sent.to0",
+                         "comm.bytes_sent.to1"};
+  std::map<std::string, std::int64_t> before;
+  for (const char* n : names) before[n] = reg.counter(n).value();
+  obs::Histogram& sizes = reg.histogram("comm.message_bytes");
+  const std::int64_t count0 = sizes.count(), sum0 = sizes.sum();
+  obs::Gauge& depth = reg.gauge("runtime.ready_queue_depth");
+  depth.reset();
+
+  auto result = engine::run(model, {23}, paths_center, opt);
+  auto delta = [&](const char* n) { return reg.counter(n).value() - before[n]; };
+
+  // Untraced: no gather traffic, so the rank counters are the matrices'
+  // row sums.
+  std::int64_t messages = 0, bytes = 0, blocked = 0;
+  long long peak = 0;
+  for (const auto& st : result.rank_stats) {
+    messages += static_cast<std::int64_t>(st.messages_sent);
+    bytes += static_cast<std::int64_t>(st.bytes_sent);
+    blocked += static_cast<std::int64_t>(st.blocked_sends);
+    peak = std::max(peak, st.table.peak_ready_tiles);
+  }
+  EXPECT_GT(messages, 0) << "the run must exercise the remote-edge path";
+  EXPECT_EQ(sizes.count() - count0, messages);
+  EXPECT_EQ(sizes.sum() - sum0, bytes);
+  EXPECT_EQ(delta("comm.messages_sent"), messages);
+  EXPECT_EQ(delta("comm.bytes_sent"), bytes);
+  EXPECT_EQ(delta("comm.messages_sent.to0") + delta("comm.messages_sent.to1"),
+            messages);
+  EXPECT_EQ(delta("comm.bytes_sent.to0") + delta("comm.bytes_sent.to1"),
+            bytes);
+  EXPECT_EQ(delta("comm.blocked_sends"), blocked);
+  EXPECT_GT(peak, 0);
+  EXPECT_EQ(depth.value(), 0);
+  EXPECT_EQ(depth.max(), peak);
+}
+
+// After a checkpoint restart the comm.* counters cover the attempt that
+// finished, like the report's comm matrix: the killed attempt's sends
+// (rank 0 feeds rank 1 before rank 1's 12th transport op) are not
+// counted, and the surviving single rank sends nothing.
+TEST(ObsEndToEnd, CommMetricsCoverTheFinishedAttempt) {
+  tiling::TilingModel model = paths_model();
+  engine::EngineOptions opt;
+  opt.ranks = 2;
+  opt.threads = 2;
+  opt.fault_plan = minimpi::FaultPlan::parse("kill:1@12");
+  opt.obs.report = "-";
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  const std::int64_t messages0 = reg.counter("comm.messages_sent").value();
+  const std::int64_t bytes0 = reg.counter("comm.bytes_sent").value();
+
+  auto result = engine::run(model, {63}, paths_center, opt);
+  EXPECT_EQ(result.restarts, 1);
+  ASSERT_TRUE(result.report.has_value());
+  EXPECT_EQ(result.report->nranks, 1);
+  EXPECT_EQ(reg.counter("comm.messages_sent").value() - messages0,
+            static_cast<std::int64_t>(result.report->total_messages));
+  EXPECT_EQ(reg.counter("comm.bytes_sent").value() - bytes0,
+            static_cast<std::int64_t>(result.report->total_bytes));
 }
 
 // ---- session options ------------------------------------------------------
