@@ -20,17 +20,21 @@ cmake -B build
 cmake --build build
 ctest --test-dir build --output-on-failure
 
-echo "==== quick-start smoke (the README's generate -> compile -> run block)"
-# The README block runs as written, from the repository root: its compile
+echo "==== quick-start smoke (the README's and TUTORIAL's generate -> compile -> run blocks)"
+# Each block runs as written, from the repository root: its compile
 # command must be the one generate_program prints, and the program must
-# print the README's RESULT line.  A second run turns the observability
-# flags on, and every document it writes must validate.
+# print the block's RESULT lines.  A second README run turns the
+# observability flags on, and every document it writes must validate.
 qs=build/quickstart-smoke
 rm -rf "$qs" && mkdir -p "$qs"
-python3 - README.md "$qs" <<'EOF'
+# run_doc_block DOC START DIR: runs the ``` block of DOC whose first line
+# is START and checks its compile command and RESULT lines.
+run_doc_block() {
+  mkdir -p "$3"
+  python3 - "$1" "$2" "$3" <<'EOF'
 import sys
 text = open(sys.argv[1]).read()
-start = "$ ./build/examples/generate_program --sample"
+start = sys.argv[2]
 block = start + text.split("```\n" + start, 1)[1].split("```", 1)[0]
 cmds, expected, cur = [], [], None
 for line in block.splitlines():
@@ -47,26 +51,31 @@ for line in block.splitlines():
     else:
         cmds.append(" ".join(cur.split()))
         cur = None
-out = sys.argv[2]
+out = sys.argv[3]
 open(out + "/commands.sh", "w").write("set -e\n" + "\n".join(cmds) + "\n")
 open(out + "/compile.expected", "w").write(
     "".join(c + "\n" for c in cmds if c.startswith("c++ ")))
 open(out + "/result.expected", "w").write("\n".join(expected) + "\n")
 EOF
-trap 'rm -f bandit2 bandit2.spec bandit2.gen.cpp' EXIT
-bash "$qs/commands.sh" > "$qs/readme.out"
-sed -n 's/^compile: //p' "$qs/readme.out" | diff "$qs/compile.expected" -
-grep '^RESULT' "$qs/readme.out" | diff "$qs/result.expected" -
+  bash "$3/commands.sh" > "$3/block.out"
+  sed -n 's/^compile: //p' "$3/block.out" | diff "$3/compile.expected" -
+  grep '^RESULT' "$3/block.out" | diff "$3/result.expected" -
+}
+trap 'rm -f bandit2 bandit2.spec bandit2.gen.cpp nw nw.gen.cpp' EXIT
+run_doc_block README.md "$ ./build/examples/generate_program --sample" \
+  "$qs/readme"
 ./bandit2 100 --ranks=4 --threads=6 --report="$qs/report.json" \
   --msgtrace="$qs/msgtrace.json" --monitor=- --profile=- > "$qs/obs.out"
-grep '^RESULT' "$qs/obs.out" | diff "$qs/result.expected" -
+grep '^RESULT' "$qs/obs.out" | diff "$qs/readme/result.expected" -
 grep -q '^MONITOR heartbeats=' "$qs/obs.out"
 grep -q '^PROFILE samples=' "$qs/obs.out"
 grep -q '^MSGTRACE records=' "$qs/obs.out"
 for doc in report msgtrace; do
   build/tools/dpgen-analyze --validate="$qs/$doc.json"
 done
-rm -f bandit2 bandit2.spec bandit2.gen.cpp
+run_doc_block docs/TUTORIAL.md \
+  "$ ./build/examples/generate_program docs/nw.spec" "$qs/tutorial"
+rm -f bandit2 bandit2.spec bandit2.gen.cpp nw nw.gen.cpp
 trap - EXIT
 echo "quick-start smoke passed"
 

@@ -1,45 +1,29 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <optional>
 
 #include "engine/decisions.hpp"
 #include "engine/interpret.hpp"
+#include "runtime/results.hpp"
 #include "support/str.hpp"
 
 namespace dpgen::engine {
 
 namespace {
 
-/// Shared (per-run, across ranks) state: the recorded values.
-struct Recorder {
-  std::mutex mu;
-  std::unordered_map<IntVec, double, IntVecHash> values;
-  bool record_all = false;
-  std::vector<IntVec> probes;
-  bool track_max = false;
-  bool have_max = false;
-  double max_value = 0.0;
-  IntVec max_point;
-};
-
 /// ProblemHooks implementation that interprets the TilingModel.
 class ModelHooks final : public runtime::ProblemHooks<double> {
  public:
   ModelHooks(const tiling::TilingModel& model, const IntVec& params,
              const tiling::LoadBalancer& balancer, const CenterFn& center,
-             Recorder& recorder, EdgeStore* edge_store,
-             const std::function<void(const IntVec&)>& tile_hook,
-             DecisionLog* decision_log)
+             const EngineOptions& options, runtime::ResultSink& results)
       : model_(model),
         params_(params),
         balancer_(balancer),
         center_(center),
-        recorder_(recorder),
-        edge_store_(edge_store),
-        tile_hook_(tile_hook),
-        decision_log_(decision_log),
+        opt_(options),
+        results_(results),
         cells_fn_(model.cell_count_fn(params)) {}
 
   int dim() const override { return model_.dim(); }
@@ -76,11 +60,11 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
   }
 
   void execute_tile(const IntVec& tile, double* buffer) override {
-    if (decision_log_) {
+    if (opt_.decision_log) {
       std::vector<unsigned char> decisions;
       detail::execute_tile_interpreted(model_, params_, tile, center_,
                                        buffer, &decisions);
-      decision_log_->record(tile, decisions);
+      opt_.decision_log->record(tile, decisions);
     } else {
       detail::execute_tile_interpreted(model_, params_, tile, center_,
                                        buffer);
@@ -88,56 +72,27 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
   }
 
   void on_tile_executed(const IntVec& tile, const double* buffer) override {
-    if (tile_hook_) tile_hook_(tile);
-    if (recorder_.track_max) {
-      // Per-tile local maximum first (no lock), then one merge.
-      bool have = false;
-      double best = 0.0;
-      IntVec best_point;
+    if (opt_.on_tile_executed) opt_.on_tile_executed(tile);
+    if (opt_.track_max) {
+      runtime::MaxScan<double> best(model_.dim());
       model_.for_each_cell(
           params_, tile, [&](const IntVec& local, const IntVec& global) {
-            double v = buffer[model_.local_index(local)];
-            if (!have || v > best || (v == best && global < best_point)) {
-              have = true;
-              best = v;
-              best_point = global;
-            }
+            best.offer(buffer[model_.local_index(local)], global.data());
           });
-      if (have) {
-        std::lock_guard<std::mutex> lock(recorder_.mu);
-        if (!recorder_.have_max || best > recorder_.max_value ||
-            (best == recorder_.max_value &&
-             best_point < recorder_.max_point)) {
-          recorder_.have_max = true;
-          recorder_.max_value = best;
-          recorder_.max_point = best_point;
-        }
-      }
+      results_.merge_max(best);
     }
-    if (!recorder_.record_all && recorder_.probes.empty()) return;
-    if (recorder_.record_all) {
-      std::lock_guard<std::mutex> lock(recorder_.mu);
-      model_.for_each_cell(params_, tile,
-                           [&](const IntVec& local, const IntVec& global) {
-                             recorder_.values[global] =
-                                 buffer[model_.local_index(local)];
-                           });
+    if (opt_.record_all) {
+      results_.record_each([&](const auto& put) {
+        model_.for_each_cell(params_, tile,
+                             [&](const IntVec& local, const IntVec& global) {
+                               put(global, buffer[model_.local_index(local)]);
+                             });
+      });
       return;
     }
-    const int d = model_.dim();
-    const auto& w = model_.problem().widths();
-    for (const auto& probe : recorder_.probes) {
-      bool inside = true;
-      IntVec local(static_cast<std::size_t>(d));
-      for (int k = 0; k < d && inside; ++k) {
-        auto ks = static_cast<std::size_t>(k);
-        if (floor_div(probe[ks], w[ks]) != tile[ks]) inside = false;
-        local[ks] = probe[ks] - w[ks] * tile[ks];
-      }
-      if (!inside) continue;
-      std::lock_guard<std::mutex> lock(recorder_.mu);
-      recorder_.values[probe] = buffer[model_.local_index(local)];
-    }
+    results_.capture(tile, buffer, [&](const IntVec& local) {
+      return model_.local_index(local);
+    });
   }
 
   Int pack(int edge, const IntVec& producer, const double* buffer,
@@ -148,14 +103,14 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
 
   void unpack(int edge, const IntVec& producer, const double* data, Int count,
               double* buffer) const override {
-    if (edge_store_) {
+    if (opt_.edge_store) {
       IntVec consumer = vec_sub(
           producer, model_.edges()[static_cast<std::size_t>(edge)].offset);
       runtime::EdgeData<double> copy;
       copy.edge = edge;
       copy.payload.assign(data, data + count);
-      std::lock_guard<std::mutex> lock(edge_store_->mu);
-      edge_store_->by_consumer[consumer].push_back(std::move(copy));
+      std::lock_guard<std::mutex> lock(opt_.edge_store->mu);
+      opt_.edge_store->by_consumer[consumer].push_back(std::move(copy));
     }
     detail::unpack_interpreted(model_, params_, edge, producer, data, count,
                                buffer);
@@ -166,10 +121,8 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
   const IntVec& params_;
   const tiling::LoadBalancer& balancer_;
   const CenterFn& center_;
-  Recorder& recorder_;
-  EdgeStore* edge_store_;
-  const std::function<void(const IntVec&)>& tile_hook_;
-  DecisionLog* decision_log_;
+  const EngineOptions& opt_;
+  runtime::ResultSink& results_;
   tiling::CellCountFn cells_fn_;
 };
 
@@ -196,23 +149,16 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
   obs::Session session(options.obs, {"engine", model.problem().problem_name(),
                                      params});
 
-  Recorder recorder;
-  recorder.record_all = options.record_all;
-  recorder.probes = options.probes;
-  recorder.track_max = options.track_max;
-
-  // Priority dimensions: load-balanced dims first, then the rest in loop
-  // order (paper Fig. 5).
-  std::vector<int> dim_priority = model.lb_dims();
-  for (int k = 0; k < model.dim(); ++k)
-    if (std::find(dim_priority.begin(), dim_priority.end(), k) ==
-        dim_priority.end())
-      dim_priority.push_back(k);
+  runtime::ResultSink results(options.record_all ? std::vector<IntVec>{}
+                                                 : options.probes,
+                              model.problem().widths());
 
   runtime::RunOptions ropt;
   ropt.threads = options.threads;
   ropt.queue_shards = options.queue_shards;
-  ropt.order = runtime::TileOrder(dim_priority,
+  // Priority dimensions: load-balanced dims first, then the rest in loop
+  // order (paper Fig. 5).
+  ropt.order = runtime::TileOrder(model.lb_dims(),
                                   model.problem().dep_signs(), options.policy);
   ropt.poison_buffers = options.poison_buffers;
   ropt.stall_timeout_seconds = options.stall_timeout_seconds;
@@ -263,9 +209,7 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
       balancer_storage.emplace(model, params, alive, options.balance);
     }
     tiling::LoadBalancer& balancer = *balancer_storage;
-    predicted_work.clear();
-    for (int r = 0; r < alive; ++r)
-      predicted_work.push_back(static_cast<double>(balancer.owned_work(r)));
+    predicted_work = balancer.predicted_work();
 
     // Each attempt gets a fresh World (per-link sequence counters restart
     // from 0) and a fresh live monitor appending to the same event log.
@@ -288,9 +232,7 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
     rank_stats.assign(static_cast<std::size_t>(alive), {});
     try {
       world->run([&](minimpi::Comm& comm) {
-        ModelHooks hooks(model, params, balancer, center, recorder,
-                         options.edge_store, options.on_tile_executed,
-                         options.decision_log);
+        ModelHooks hooks(model, params, balancer, center, options, results);
         rank_stats[static_cast<std::size_t>(comm.rank())] =
             runtime::run_node<double>(hooks, comm, ropt,
                                       fault_tolerant ? &store : nullptr);
@@ -333,10 +275,10 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
 
   EngineResult result;
   result.report = std::move(docs.report);
-  result.values = std::move(recorder.values);
+  result.values = std::move(results.values());
   result.rank_stats = std::move(rank_stats);
-  result.max_value = recorder.max_value;
-  result.max_point = std::move(recorder.max_point);
+  result.max_value = results.max().value;
+  if (results.max().have) result.max_point = results.max().point;
   result.stragglers = std::move(docs.stragglers);
   result.restarts = restarts;
   result.failed_ranks = std::move(failed_ranks);

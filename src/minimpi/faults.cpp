@@ -156,6 +156,7 @@ FaultInjector::FaultInjector(std::shared_ptr<InProcessTransport> inner,
       plan_(std::move(plan)) {
   const int n = nranks();
   ops_.assign(static_cast<std::size_t>(n), 0);
+  data_events_.assign(static_cast<std::size_t>(n), 0);
   link_msgs_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
                     0);
   dead_.assign(static_cast<std::size_t>(n), false);
@@ -183,7 +184,6 @@ FaultInjector::FaultInjector(std::shared_ptr<InProcessTransport> inner,
 
 void FaultInjector::account_op(int rank) {
   long long sleep_us = 0;
-  std::string kill_reason;
   std::vector<Parked> due;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -191,16 +191,6 @@ void FaultInjector::account_op(int rank) {
     for (const auto& s : plan_.slows)
       if (s.rank == rank) sleep_us += s.op_delay_us;
     if (sleep_us > 0) ++stats_.slow_ops;
-    for (std::size_t k = 0; k < plan_.kills.size(); ++k) {
-      const auto& kill = plan_.kills[k];
-      if (kill_fired_[k] || kill.rank != rank || n < kill.after_ops)
-        continue;
-      kill_fired_[k] = true;
-      dead_[static_cast<std::size_t>(rank)] = true;
-      ++stats_.kills_fired;
-      kill_reason =
-          cat("rank ", rank, " killed at transport op ", n, " by fault plan");
-    }
     for (std::size_t i = 0; i < parked_.size();) {
       if (parked_[i].dst == rank && n >= parked_[i].release_at) {
         due.push_back(std::move(parked_[i]));
@@ -216,15 +206,35 @@ void FaultInjector::account_op(int rank) {
   for (auto& p : due) inner_->force_post(p.dst, std::move(p.msg));
   if (sleep_us > 0)
     std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
+  check_alive();
+}
+
+void FaultInjector::account_data_event(int rank, bool post) {
+  std::string kill_reason;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (post) ++stats_.messages_posted;
+    const long long n = ++data_events_[static_cast<std::size_t>(rank)];
+    for (std::size_t k = 0; k < plan_.kills.size(); ++k) {
+      const auto& kill = plan_.kills[k];
+      if (kill_fired_[k] || kill.rank != rank || n < kill.after_ops)
+        continue;
+      kill_fired_[k] = true;
+      dead_[static_cast<std::size_t>(rank)] = true;
+      ++stats_.kills_fired;
+      kill_reason = cat("rank ", rank, " killed at data-plane event ", n,
+                        " by fault plan");
+    }
+  }
   if (!kill_reason.empty()) {
     fail(kill_reason);
     throw TransportFailure(kill_reason);
   }
-  check_alive();
 }
 
 PostResult FaultInjector::try_post(int src, int dst, Message& m) {
   account_op(src);
+  const int tag = m.tag;
   enum class Action { kForward, kSwallow, kPark, kDuplicate };
   Action action = Action::kForward;
   long long park_release = 0;
@@ -264,14 +274,15 @@ PostResult FaultInjector::try_post(int src, int dst, Message& m) {
     if (action == Action::kPark)
       parked_.push_back(Parked{dst, park_release, std::move(m)});
   }
+  PostResult result = PostResult::kDelivered;
   switch (action) {
     case Action::kSwallow: {
       Message discarded = std::move(m);
       (void)discarded;
-      return PostResult::kDelivered;
+      break;
     }
     case Action::kPark:
-      return PostResult::kDelivered;
+      break;
     case Action::kDuplicate: {
       Message copy;
       copy.source = m.source;
@@ -282,12 +293,17 @@ PostResult FaultInjector::try_post(int src, int dst, Message& m) {
       inner_->force_post(dst, std::move(copy));
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.messages_duplicated;
-      return PostResult::kDelivered;
+      break;
     }
     case Action::kForward:
+      result = inner_->try_post(src, dst, m);
       break;
   }
-  return inner_->try_post(src, dst, m);
+  // An accepted data-plane post is one of the sender's data-plane events
+  // (a full mailbox's retries are not: how often they repeat is timing).
+  if (result == PostResult::kDelivered && tag >= 0)
+    account_data_event(src, /*post=*/true);
+  return result;
 }
 
 void FaultInjector::wait_capacity(int src, int dst) {
@@ -303,13 +319,17 @@ void FaultInjector::wait_capacity(int src, int dst) {
 
 std::optional<Message> FaultInjector::collect(int rank) {
   account_op(rank);
-  return inner_->collect(rank);
+  std::optional<Message> m = inner_->collect(rank);
+  if (m) account_data_event(rank, /*post=*/false);
+  return m;
 }
 
 std::optional<Message> FaultInjector::collect_match(int rank, int src,
                                                     int tag) {
   account_op(rank);
-  return inner_->collect_match(rank, src, tag);
+  std::optional<Message> m = inner_->collect_match(rank, src, tag);
+  if (m) account_data_event(rank, /*post=*/false);
+  return m;
 }
 
 std::vector<int> FaultInjector::dead_ranks() const {

@@ -3,7 +3,7 @@
 // (ROADMAP item 5; proven by tests/test_faults.cpp).
 //
 // FaultInjector decorates an InProcessTransport and misbehaves on a plan:
-//   * kill  — a rank dies at its Nth transport operation: the whole stack
+//   * kill  — a rank dies at its Nth data-plane event: the whole stack
 //     is poisoned (every rank's next operation throws TransportFailure)
 //     and the rank is reported dead, so the engine restarts from the
 //     checkpoint over the survivors;
@@ -19,10 +19,11 @@
 //   * slow  — a rank sleeps a fixed number of microseconds on every
 //     transport operation (a straggler, not a failure).
 //
-// Determinism: triggers count transport *operations* and per-link
-// *messages*, never wall time, so a plan fires at the same logical point
-// on every run with the same plan — which is what lets the chaos suite
-// assert byte-identical results against the fault-free run.
+// Determinism: kills count a rank's *data-plane events* (accepted posts
+// with a nonnegative tag, receives that return a message) and link faults
+// per-link *messages*, never wall time or idle polls, so a plan fires at
+// the same logical point on every run.  Delay releases count every
+// operation, so a parked message reaches a destination that only polls.
 //
 // FaultPlan has a compact textual grammar (docs/fault-tolerance.md):
 //   kill:R@N; drop:S>D@N; dup:S>D@N; delay:S>D@N+H; slow:R@U
@@ -43,7 +44,7 @@ namespace dpgen::minimpi {
 struct FaultPlan {
   struct Kill {
     int rank = 0;
-    long long after_ops = 1;  ///< dies at its after_ops-th transport op
+    long long after_ops = 1;  ///< dies at its after_ops-th data-plane event
   };
   /// Link faults apply to data-plane messages only (nonnegative tags);
   /// the collective tag space is exempt — see FaultInjector::try_post.
@@ -85,6 +86,7 @@ struct FaultStats {
   long long messages_delayed = 0;
   long long slow_ops = 0;
   long long posts_to_dead = 0;  ///< sends swallowed after a rank died
+  long long messages_posted = 0;  ///< data-plane posts accepted
 };
 
 class FaultInjector final : public Transport {
@@ -106,9 +108,11 @@ class FaultInjector final : public Transport {
 
  private:
   /// Counts one transport operation by `rank`: applies slowdowns, releases
-  /// parked (delayed) messages due for this rank, fires kills (poisoning
-  /// the stack and throwing), and finally re-checks the poison flag.
+  /// parked (delayed) messages due for this rank, re-checks the poison.
   void account_op(int rank);
+  /// Counts one data-plane event by `rank` (an accepted post, or a
+  /// receive) and fires its due kills (poisoning the stack and throwing).
+  void account_data_event(int rank, bool post);
 
   struct Parked {
     int dst = -1;
@@ -121,6 +125,7 @@ class FaultInjector final : public Transport {
 
   mutable std::mutex mu_;  // guards every mutable field below
   std::vector<long long> ops_;         // per-rank transport op counts
+  std::vector<long long> data_events_;  // per-rank data-plane event counts
   std::vector<long long> link_msgs_;   // per src*n+dst message counts
   std::vector<bool> dead_;
   std::vector<bool> kill_fired_;       // parallel to plan_.kills

@@ -53,10 +53,6 @@ struct SessionOptions {
   bool parse_flag(const char* arg);
 
   bool tracing() const { return !trace.empty() || !report.empty(); }
-  /// True when a document needs the Ehrhart per-rank work prediction.
-  bool wants_predicted_work() const {
-    return !monitor.empty() || !report.empty() || !profile.empty();
-  }
 };
 
 /// Identity stamped into every document of the run.

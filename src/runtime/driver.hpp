@@ -15,7 +15,8 @@
 // Only tiles in execution hold full buffers; everything else is packed
 // edges.  The problem-specific pieces are supplied through ProblemHooks:
 // the interpreted engine implements them by walking the TilingModel, and
-// generated programs implement them with emitted loop nests.
+// a generated program's GeneratedHooks (program.hpp) calls its emitted
+// loop nests.
 //
 // The steady-state loop is allocation-free: payload vectors cycle through
 // a per-worker BufferPool (unpack releases feed the very next pack
@@ -25,10 +26,10 @@
 // `runtime.edge_alloc` and hits as `runtime.pool_hit`, so the claim shows
 // up in the metrics rather than relying on code reading.
 //
-// Worker threads are std::threads by default; when compiled with OpenMP
-// and DPGEN_RUNTIME_USE_OPENMP (as generated programs are), the workers
-// run inside an OpenMP parallel region instead, making the program a true
-// hybrid OpenMP + message-passing executable.
+// Worker threads are std::threads by default; when libdpgen_runtime is
+// built with OpenMP (DPGEN_RUNTIME_USE_OPENMP), the workers run inside an
+// OpenMP parallel region instead: a true hybrid OpenMP + message-passing
+// run.  run_node<double/float> are compiled only there (extern below).
 //
 // Observability: the loop calls a per-worker probe (runtime/probe.hpp) at
 // each step and opens plain ScopedSpans only for its unpack and pack
@@ -660,5 +661,13 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   run_probe.gather();
   return stats;
 }
+
+// Compiled once, with the library's OpenMP setting (program*.cpp).
+extern template RunStats run_node<double>(ProblemHooks<double>&,
+                                          minimpi::Comm&, const RunOptions&,
+                                          CheckpointStore<double>*);
+extern template RunStats run_node<float>(ProblemHooks<float>&,
+                                         minimpi::Comm&, const RunOptions&,
+                                         CheckpointStore<float>*);
 
 }  // namespace dpgen::runtime

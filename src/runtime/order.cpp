@@ -1,5 +1,7 @@
 #include "runtime/order.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 
 namespace dpgen::runtime {
@@ -7,10 +9,15 @@ namespace dpgen::runtime {
 TileOrder::TileOrder(std::vector<int> dim_priority, std::vector<int> signs,
                      PriorityPolicy policy)
     : dim_priority_(std::move(dim_priority)),
-      signs_(signs.begin(), signs.end()),
+      signs_(std::move(signs)),
       policy_(policy) {
+  for (int k = 0; k < static_cast<int>(signs_.size()); ++k)
+    if (std::find(dim_priority_.begin(), dim_priority_.end(), k) ==
+        dim_priority_.end())
+      dim_priority_.push_back(k);
   DPGEN_CHECK(dim_priority_.size() == signs_.size(),
-              "TileOrder: dim_priority and signs must have equal length");
+              "TileOrder: dim_priority lists a dimension twice or one that "
+              "does not exist");
 }
 
 bool TileOrder::earlier(const IntVec& a, const IntVec& b) const {

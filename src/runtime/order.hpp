@@ -27,8 +27,9 @@ class TileOrder {
  public:
   TileOrder() = default;
 
-  /// `dim_priority` lists tile dimensions most-significant first (the
-  /// load-balanced dimensions, then the rest in loop order).  `signs` gives
+  /// `dim_priority` lists tile dimensions most-significant first; the
+  /// dimensions it leaves out follow in loop order (the front ends pass
+  /// the load-balanced dimensions, Fig. 5).  `signs` gives
   /// the per-dimension dependency sign (+1, 0 or -1): execution proceeds
   /// from high indices to low in +1 dimensions and low to high in -1
   /// dimensions.

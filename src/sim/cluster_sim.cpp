@@ -67,12 +67,7 @@ SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
   tiling::LoadBalancer balancer(model, params, cfg.nodes, cfg.balance);
 
   // Priority dimensions: load-balanced dims first, then the rest (Fig. 5).
-  std::vector<int> dim_priority = model.lb_dims();
-  for (int k = 0; k < model.dim(); ++k)
-    if (std::find(dim_priority.begin(), dim_priority.end(), k) ==
-        dim_priority.end())
-      dim_priority.push_back(k);
-  runtime::TileOrder order(dim_priority, model.problem().dep_signs(),
+  runtime::TileOrder order(model.lb_dims(), model.problem().dep_signs(),
                            cfg.policy);
 
   std::vector<NodeState> nodes;
@@ -88,9 +83,7 @@ SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
 
   SimResult result;
   const obs::RunIdentity id{"sim", model.problem().problem_name(), params};
-  std::vector<double> predicted_work;
-  for (int r = 0; r < cfg.nodes; ++r)
-    predicted_work.push_back(static_cast<double>(balancer.owned_work(r)));
+  std::vector<double> predicted_work = balancer.predicted_work();
   const bool msg_trace = !cfg.obs.msgtrace.empty();
   const bool record_timeline =
       cfg.record_timeline || cfg.obs.tracing() || msg_trace;

@@ -428,16 +428,6 @@ Int TilingModel::local_index(const IntVec& local) const {
   return idx;
 }
 
-IntVec TilingModel::global_of(const IntVec& tile, const IntVec& local) const {
-  IntVec x(static_cast<std::size_t>(d_));
-  for (int k = 0; k < d_; ++k) {
-    auto ks = static_cast<std::size_t>(k);
-    x[ks] = add_ck(local[ks],
-                   mul_ck(spec_.widths()[ks], tile[ks]));
-  }
-  return x;
-}
-
 void TilingModel::for_each_cell(
     const IntVec& params, const IntVec& tile,
     const std::function<void(const IntVec&, const IntVec&)>& fn) const {

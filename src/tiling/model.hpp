@@ -149,25 +149,12 @@ class TilingModel {
   const IntVec& strides() const { return strides_; }
   Int buffer_size() const { return buffer_size_; }
 
-  /// Constant term of the mapping function: the buffer index of local
-  /// coordinate 0 (sum_k strides_k * ghost_lo_k).  Every loc expression is
-  /// this constant plus the stride-weighted local coordinates.
-  Int ghost_base() const {
-    Int base = 0;
-    for (std::size_t k = 0; k < strides_.size(); ++k)
-      base = add_ck(base, mul_ck(strides_[k], ghost_lo_[k]));
-    return base;
-  }
-
   /// Linear index of local coordinate i (interior: 0 <= i_k < w_k; ghost
   /// coordinates extend to [-ghost_lo_k, w_k - 1 + ghost_hi_k]).
   Int local_index(const IntVec& local) const;
 
   /// Constant offset added to `loc` to reach dependency j (loc_rj).
   Int dep_loc_offset(int dep) const { return dep_offsets_[static_cast<std::size_t>(dep)]; }
-
-  /// Global coordinate of local cell i in tile t: x_k = i_k + w_k t_k.
-  IntVec global_of(const IntVec& tile, const IntVec& local) const;
 
   // ---- local iteration (paper IV.L) -----------------------------------------
   /// Scans the cells of tile t in loop order; fn receives the local
@@ -296,16 +283,14 @@ class TilingModel {
   /// Indices (within 0..d-1) of the load-balanced dimensions, priority
   /// order.
   const std::vector<int>& lb_dims() const { return lb_dims_; }
-  /// The load-balancing space: tile space with non-balanced tile indices
-  /// eliminated (over params + t_lb in ext_vars order).
-  const poly::System& lb_space() const { return lb_space_; }
   /// Scans load-balance cells in priority (lb1-major) order.
   void for_each_lb_cell(const IntVec& params,
                         const std::function<void(const IntVec&)>& fn) const;
 
   // ---- loop nests, exposed for code emission ---------------------------------
-  const poly::LoopNest& tile_nest() const { return tile_nest_; }
   const poly::LoopNest& local_nest() const { return local_nest_; }
+  /// Scans the load-balancing space: the tile space with the non-balanced
+  /// tile indices eliminated.
   const poly::LoopNest& lb_nest() const { return lb_nest_; }
   const poly::LoopNest& pack_nest(int edge) const {
     return pack_nests_[static_cast<std::size_t>(edge)];

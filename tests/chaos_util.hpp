@@ -41,7 +41,7 @@ inline std::vector<ChaosCase> chaos_cases() {
     c.name = "bandit2";
     c.problem = problems::bandit2(/*tile_width=*/3);
     // Horizon 12: at 8 the wedge is so small that a rank can finish in
-    // under a dozen transport ops, before any mid-run fault can fire.
+    // under a dozen data-plane messages, before any mid-run fault can fire.
     c.params = {12};
     cases.push_back(std::move(c));
   }

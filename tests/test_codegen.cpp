@@ -22,6 +22,7 @@
 #include "problems/problems.hpp"
 #include "support/json_schema.hpp"
 #include "support/str.hpp"
+#include "tiling/balance.hpp"
 
 namespace dpgen::codegen {
 namespace {
@@ -123,8 +124,7 @@ TEST(GeneratedSource, ProbeDefaultsToOrigin) {
   problems::Problem p = problems::bandit2(4);
   tiling::TilingModel model(p.spec);
   std::string src = generate_program(model);
-  EXPECT_NE(src.find("kProbes[kNumProbes][kDim] = {{0LL, 0LL, 0LL, 0LL}}"),
-            std::string::npos);
+  EXPECT_NE(src.find(".probes = {{0LL, 0LL, 0LL, 0LL}}"), std::string::npos);
 }
 
 TEST(GeneratedSource, WriteProgramCreatesFile) {
@@ -366,6 +366,56 @@ TEST(EndToEnd, GeneratedLcsMatchesOracle) {
     ASSERT_EQ(families.size(), 1u);
     EXPECT_EQ(families[0]->at("predicted_cells").as_number(), total_work);
     std::remove(prof.c_str());
+  }
+}
+
+TEST(EndToEnd, GeneratedProgramPartitionIsTheLoadBalancers) {
+  // One partition through both front ends: at every rank count, the
+  // per-rank Ehrhart work and tile count in a generated program's report
+  // are tiling::LoadBalancer's.
+  if (!obs::kTraceCompiled) GTEST_SKIP() << "reports need span tracing";
+  const std::vector<std::string> seqs{problems::random_dna(41, 3),
+                                      problems::random_dna(37, 4)};
+  struct Case {
+    std::string tag;
+    problems::Problem problem;
+    IntVec params;
+  };
+  const std::vector<Case> cases{{"bandit2", problems::bandit2(4), {16}},
+                                {"lcs2", problems::lcs(seqs, 4),
+                                 problems::sequence_params(seqs)}};
+  for (const Case& c : cases) {
+    tiling::TilingModel model(c.problem.spec);
+    const std::string src_path =
+        cat(testing::TempDir(), "/dpgen_partition_", c.tag, ".cpp");
+    write_program(model, src_path);
+    auto prog = compile_program(src_path, "partition_" + c.tag);
+    ASSERT_TRUE(prog.ok) << prog.log;
+    std::string args;
+    for (Int v : c.params) args += cat(" ", v);
+    const std::string report = testing::TempDir() + "/dpgen_partition.json";
+    for (int ranks = 1; ranks <= 4; ++ranks) {
+      auto [status, out] = run_command(cat(prog.binary, args, " --ranks=",
+                                           ranks, " --report=", report));
+      ASSERT_EQ(status, 0) << out;
+      std::ifstream rf(report);
+      std::stringstream rs;
+      rs << rf.rdbuf();
+      const auto doc = json::parse(rs.str());
+      const auto& audit = doc->at("load_balance").at("ranks").as_array();
+      ASSERT_EQ(audit.size(), static_cast<std::size_t>(ranks)) << c.tag;
+      const tiling::LoadBalancer balancer(model, c.params, ranks);
+      for (int r = 0; r < ranks; ++r) {
+        const auto& a = *audit[static_cast<std::size_t>(r)];
+        EXPECT_EQ(a.at("predicted_work").as_number(),
+                  static_cast<double>(balancer.owned_work(r)))
+            << c.tag << " rank " << r << " of " << ranks;
+        EXPECT_EQ(a.at("tiles").as_number(),
+                  static_cast<double>(balancer.owned_tiles(r)))
+            << c.tag << " rank " << r << " of " << ranks;
+      }
+      std::remove(report.c_str());
+    }
   }
 }
 

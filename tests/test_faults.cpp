@@ -247,16 +247,70 @@ TEST(FaultInjectorWire, DelayParksUntilDestinationOps) {
 TEST(FaultInjectorWire, KillFiresAtOpCountAndPoisonsStack) {
   auto base = std::make_shared<InProcessTransport>(2, 0);
   FaultInjector inj(base, FaultPlan::parse("kill:0@3"));
-  EXPECT_FALSE(inj.collect(0).has_value());  // op 1
-  EXPECT_FALSE(inj.collect_match(0, -1, -1).has_value());  // op 2
-  EXPECT_THROW(inj.collect(0), TransportFailure);  // op 3: dead
+  // Only data-plane events count toward the kill: idle polls and
+  // collective-tag posts do not, however many there are.
+  for (int i = 0; i < 5; ++i) EXPECT_FALSE(inj.collect(0).has_value());
+  Message barrier = make_msg(0, -1, 0);
+  ASSERT_EQ(inj.try_post(0, 1, barrier), PostResult::kDelivered);
+  Message out = make_msg(0, 0, 1);
+  ASSERT_EQ(inj.try_post(0, 1, out), PostResult::kDelivered);  // event 1
+  Message in = make_msg(1, 0, 2);
+  ASSERT_EQ(inj.try_post(1, 0, in), PostResult::kDelivered);
+  EXPECT_TRUE(inj.collect(0).has_value());  // event 2
+  EXPECT_FALSE(inj.collect_match(0, -1, -1).has_value());
+  EXPECT_FALSE(inj.failed());
+  Message last = make_msg(0, 0, 3);
+  EXPECT_THROW(inj.try_post(0, 1, last), TransportFailure);  // event 3
   EXPECT_TRUE(inj.failed());
   EXPECT_EQ(inj.dead_ranks(), std::vector<int>{0});
   EXPECT_EQ(inj.stats().kills_fired, 1);
+  EXPECT_EQ(inj.stats().messages_posted, 3);
   // Every other rank's next operation now throws too.
   EXPECT_THROW(inj.collect(1), TransportFailure);
-  // Sends to the dead rank before the poison propagated would have been
-  // swallowed silently (posts_to_dead) — here the stack is already down.
+}
+
+TEST(FaultInjectorEngine, KillFiresAtTheSameLogicalPointEveryRun) {
+  // Lattice paths on [0,23]^2 in 4x4 tiles over 3 ranks x 2 threads:
+  // however the workers' polls interleave, kill:1@12 stops the faulty
+  // attempt after the same data-plane messages.
+  spec::ProblemSpec s;
+  s.name("paths")
+      .params({"N"})
+      .vars({"x", "y"})
+      .constraint("x >= 0")
+      .constraint("x <= N")
+      .constraint("y >= 0")
+      .constraint("y <= N")
+      .dep("r1", {1, 0})
+      .dep("r2", {0, 1})
+      .load_balance({"x", "y"})
+      .tile_widths({4, 4})
+      .center_code("V[loc] = 0.0;");
+  const tiling::TilingModel model(s);
+  const engine::CenterFn paths = [](const engine::Cell& c) {
+    double v = 0.0;
+    bool any = false;
+    for (int j = 0; j < 2; ++j)
+      if (c.valid[j]) {
+        v += c.V[c.loc_dep[j]];
+        any = true;
+      }
+    c.V[c.loc] = any ? v : 1.0;
+  };
+  engine::EngineOptions opt = chaos::base_options(3, 2, 1);
+  opt.probes = {{0, 0}};
+  opt.fault_plan = FaultPlan::parse("kill:1@12");
+  std::vector<long long> posted;
+  for (int run = 0; run < 4; ++run) {
+    const auto result = engine::run(model, {23}, paths, opt);
+    EXPECT_DOUBLE_EQ(result.at({0, 0}), 8233430727600.0);  // C(46, 23)
+    EXPECT_EQ(result.restarts, 1);
+    EXPECT_EQ(result.failed_ranks, std::vector<int>{1});
+    EXPECT_EQ(result.fault_stats.kills_fired, 1);
+    posted.push_back(result.fault_stats.messages_posted);
+  }
+  EXPECT_GT(posted[0], 0);
+  for (long long p : posted) EXPECT_EQ(p, posted[0]);
 }
 
 // ------------------------------------------------------- chaos scenarios
@@ -302,8 +356,8 @@ TEST_P(ChaosScenario, CleanRunIsDeterministic) {
 TEST_P(ChaosScenario, KillRankMidRunRecoversByteIdentical) {
   const ChaosCase c = chaos_case();
   auto opt = options();
-  // A low trigger: every rank performs a dozen transport operations even
-  // in the smallest family (idle polls count), so the kill always fires.
+  // A low trigger: rank 1 sends or receives a dozen data-plane messages
+  // even in the smallest family, so the kill always fires.
   opt.fault_plan = FaultPlan::parse("kill:1@12");
   const auto result = chaos::run_case(c, opt);
   EXPECT_EQ(chaos::result_lines(result, c.track_max), clean());

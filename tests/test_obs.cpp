@@ -550,7 +550,7 @@ TEST(ObsEndToEnd, CommMetricsEqualRankCounters) {
 
 // After a checkpoint restart the comm.* counters cover the attempt that
 // finished, like the report's comm matrix: the killed attempt's sends
-// (rank 0 feeds rank 1 before rank 1's 12th transport op) are not
+// (rank 0 feeds rank 1 before rank 1's 12th data-plane event) are not
 // counted, and the surviving single rank sends nothing.
 TEST(ObsEndToEnd, CommMetricsCoverTheFinishedAttempt) {
   tiling::TilingModel model = paths_model();

@@ -1,6 +1,7 @@
 // Unit tests for the runtime scheduling structures: tile priority order
-// (Fig. 5), the pending-tile table / ready queue (section V.B) and the edge
-// message wire format.
+// (Fig. 5), the pending-tile table / ready queue (section V.B), the edge
+// message wire format, the load-balance partition (IV.J) and the one
+// OpenMP-or-not run_node body per build.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,17 @@
 
 #include "runtime/driver.hpp"
 #include "runtime/order.hpp"
+#include "runtime/partition.hpp"
 #include "runtime/tile_table.hpp"
+
+// This file is compiled without DPGEN_RUNTIME_USE_OPENMP on purpose: its
+// run_node<double> calls must still reach the library's one body.
+#ifdef DPGEN_RUNTIME_USE_OPENMP
+#error "test_runtime must be compiled without DPGEN_RUNTIME_USE_OPENMP"
+#endif
+#if DPGEN_TEST_OPENMP
+#include <omp.h>
+#endif
 
 namespace dpgen::runtime {
 namespace {
@@ -494,6 +505,108 @@ TEST(TableStateRoundTrip, DuplicateEdgeStatSurvivesConcurrentDelivery) {
   EXPECT_EQ(s.delivered_edges, 6 * 4);
   EXPECT_EQ(s.duplicate_edges, 6 * 4 * (kThreads - 1));
   EXPECT_TRUE(table.idle());
+}
+
+// ---- load-balance partition (paper IV.J) ----------------------------------
+
+TEST(Partition, PrefixCutSplitsCumulativeWork) {
+  // Work 4, 4, 4, 4 over two ranks: the cut falls after the second cell.
+  const std::vector<LbCell> cells{
+      {{0}, 4, 1}, {{1}, 4, 2}, {{2}, 4, 3}, {{3}, 4, 4}};
+  Partition part({0}, cells, 2);
+  EXPECT_EQ(part.total_work(), 16);
+  EXPECT_EQ(part.num_cells(), 4);
+  EXPECT_EQ(part.owner({0, 9}), 0);
+  EXPECT_EQ(part.owner({1, 9}), 0);
+  EXPECT_EQ(part.owner({2, 9}), 1);
+  EXPECT_EQ(part.owner({3, 9}), 1);
+  EXPECT_EQ(part.owned_work(0), 8);
+  EXPECT_EQ(part.owned_tiles(0), 3);
+  EXPECT_EQ(part.owned_tiles(1), 7);
+  EXPECT_DOUBLE_EQ(part.imbalance(), 1.0);
+}
+
+TEST(Partition, TileWithoutCellIsAnError) {
+  // Dense owner table over [0, 3] with a hole at 2; the tile's second
+  // index is not a load-balance dimension.
+  const std::vector<LbCell> dense{{{0}, 1, 1}, {{1}, 1, 1}, {{3}, 1, 1}};
+  Partition part({1}, dense, 2);
+  EXPECT_EQ(part.owner({9, 3}), 1);
+  EXPECT_THROW(part.owner({0, 2}), Error);   // the hole
+  EXPECT_THROW(part.owner({0, 4}), Error);   // past the box
+  EXPECT_THROW(part.owner({0, -1}), Error);  // before it
+  // Cells too far apart for a dense table: the hash-map lookup.
+  const std::vector<LbCell> sparse{{{0, 0}, 1, 1}, {{100000, 7}, 1, 1}};
+  Partition far({0, 1}, sparse, 2);
+  EXPECT_EQ(far.owner({100000, 7}), 1);
+  EXPECT_THROW(far.owner({50, 0}), Error);
+}
+
+TEST(Partition, NoLoadBalanceDimsOwnsEverythingOnRankZero) {
+  Partition part({}, {{{}, 10, 5}}, 3);
+  EXPECT_EQ(part.owner({4, 2}), 0);
+  EXPECT_EQ(part.owned_tiles(0), 5);
+  EXPECT_EQ(part.owned_work(1), 0);
+}
+
+// ---- one run_node body per build ----------------------------------------
+
+/// Eight independent one-cell tiles on one rank; execute_tile counts the
+/// calls made inside an OpenMP parallel region.
+class ParallelRegionHooks final : public ProblemHooks<double> {
+ public:
+  int dim() const override { return 1; }
+  Int buffer_size() const override { return 1; }
+  int num_edges() const override { return 0; }
+  const IntVec& edge_offset(int) const override {
+    static const IntVec none;
+    return none;
+  }
+  Int edge_capacity(int) const override { return 0; }
+  bool tile_exists(const IntVec& t) const override {
+    return t[0] >= 0 && t[0] < kTiles;
+  }
+  int dep_count(const IntVec&) const override { return 0; }
+  void initial_tiles(std::vector<IntVec>& out) const override {
+    for (Int i = 0; i < kTiles; ++i) out.push_back({i});
+  }
+  int owner(const IntVec&) const override { return 0; }
+  Int owned_tiles(int) const override { return kTiles; }
+  void execute_tile(const IntVec&, double* buffer) override {
+    buffer[0] = 1.0;
+#if DPGEN_TEST_OPENMP
+    if (omp_in_parallel()) in_parallel.fetch_add(1);
+#endif
+  }
+  Int pack(int, const IntVec&, const double*, double*) const override {
+    return 0;
+  }
+  void unpack(int, const IntVec&, const double*, Int, double*) const override {}
+
+  static constexpr Int kTiles = 8;
+  std::atomic<int> in_parallel{0};
+};
+
+TEST(RunNodeBuild, OpenMpBuildRunsWorkersInAParallelRegion) {
+  // In an OpenMP build the library's run_node<double> runs its workers
+  // inside an OpenMP parallel region, even when called from this file,
+  // which is compiled without OpenMP; without the explicit instantiation
+  // this file would compile its own std::thread body.
+#if !DPGEN_TEST_OPENMP
+  GTEST_SKIP() << "OpenMP is not available in this build";
+#else
+  ParallelRegionHooks hooks;
+  RunOptions opt;
+  opt.threads = 2;
+  opt.order = TileOrder({0}, {1}, PriorityPolicy::kColumnMajor);
+  minimpi::World world(1);
+  RunStats stats;
+  world.run([&](minimpi::Comm& comm) {
+    stats = run_node<double>(hooks, comm, opt);
+  });
+  EXPECT_EQ(stats.tiles_executed, ParallelRegionHooks::kTiles);
+  EXPECT_EQ(hooks.in_parallel.load(), ParallelRegionHooks::kTiles);
+#endif
 }
 
 }  // namespace

@@ -337,10 +337,8 @@ int run_trace(const Options& opt) {
       nranks = std::max(nranks, static_cast<int>(s.rank) + 1);
     if (nranks > 0) {
       in.nranks = nranks;
-      tiling::LoadBalancer balancer(model, params, nranks);
-      for (int r = 0; r < nranks; ++r)
-        in.predicted_work.push_back(
-            static_cast<double>(balancer.owned_work(r)));
+      in.predicted_work =
+          tiling::LoadBalancer(model, params, nranks).predicted_work();
     }
   } else {
     std::fprintf(stderr,
