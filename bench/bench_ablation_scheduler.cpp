@@ -1,7 +1,8 @@
 // ABL — ablations of the runtime design choices on real (engine) runs:
 //   * priority policy (paper Fig. 4/5): column-major vs level-set edge
 //     memory on the actual scheduler, not the simulator;
-//   * ready-queue sharding (paper VII.C): contention relief knob;
+//   * worker threads sharing one rank's tile table (paper VII.C asks
+//     whether the shared structures contend);
 //   * bounded send/receive buffers (paper V: "the number of send and
 //     receive buffers ... adjustable"): how small budgets trade blocked
 //     sends for memory.
@@ -37,10 +38,9 @@ obs::BenchSample ablation_sample(const engine::EngineOptions& base) {
 }
 
 [[maybe_unused]] const bool registered = [] {
-  register_bench("ablation/shards2_threads2", [] {
+  register_bench("ablation/threads2", [] {
     engine::EngineOptions opt;
     opt.threads = 2;
-    opt.queue_shards = 2;
     return ablation_sample(opt);
   });
   register_bench("ablation/mailbox_cap1_r2", [] {
@@ -76,24 +76,25 @@ void policy_table() {
   std::printf("\n");
 }
 
-void shard_table() {
-  header("ABL-SHARDS", "ready-queue shards vs wall time (4 worker threads)");
-  std::printf("%-10s %-8s %-10s %-12s\n", "problem", "shards", "seconds",
-              "tiles");
+void threads_table() {
+  header("ABL-THREADS",
+         "worker threads on one rank's shared tile table vs wall time");
+  std::printf("%-10s %-8s %-8s %-10s %-12s %-12s\n", "problem", "threads",
+              "stripes", "seconds", "tiles", "peak_edges");
   problems::Problem p = problems::bandit2(4);
   tiling::TilingModel model(p.spec);
-  for (int shards : {1, 2, 4}) {
+  for (int threads : {1, 2, 4}) {
     engine::EngineOptions opt;
-    opt.threads = 4;
-    opt.queue_shards = shards;
+    opt.threads = threads;
     opt.probes = {p.objective};
     auto result = engine::run(model, {28}, p.kernel, opt);
-    std::printf("%-10s %-8d %-10.4f %-12lld\n", "bandit2", shards,
+    std::printf("%-10s %-8d %-8zu %-10.4f %-12lld %-12lld\n", "bandit2",
+                threads, runtime::TileTable<double>::stripes_for(threads),
                 result.rank_stats[0].total_seconds,
-                result.total(&runtime::RunStats::tiles_executed));
+                result.total(&runtime::RunStats::tiles_executed),
+                result.rank_stats[0].table.peak_buffered_edges);
   }
-  std::printf("# (single-CPU container: this validates correctness and "
-              "overhead, not contention relief)\n\n");
+  std::printf("\n");
 }
 
 void capacity_table() {
@@ -142,7 +143,7 @@ BENCHMARK(BM_EnginePolicy)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 #ifdef DPGEN_BENCH_STANDALONE
 int main(int argc, char** argv) {
   policy_table();
-  shard_table();
+  threads_table();
   capacity_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

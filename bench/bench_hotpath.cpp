@@ -11,7 +11,8 @@
 //     tile is 4 (resp. 16) cells but produces/consumes 2 edges, so the run
 //     is scheduling-bound.
 //   * ranks=2 rows route half the edges through minimpi (remote path).
-//   * table/ rows drive ShardedTileTable::deliver/pop directly, isolating
+//   * threads=4 rows share one rank's tile table between four workers.
+//   * table/ rows drive TileTable::deliver/pop directly, isolating
 //     the pending-map + ready-queue cost from pack/execute.
 
 #include "bench_util.hpp"
@@ -39,15 +40,22 @@ struct HotpathRow {
   long long pool_hits = 0;
 };
 
-HotpathRow run_once(const tiling::TilingModel& model, Int n, int ranks,
-                    bool monitored = false, bool profiled = false,
-                    bool msgtraced = false) {
+/// The world shape and the instruments of one hotpath run.
+struct Shape {
+  int ranks = 1;
+  int threads = 1;
+  bool monitored = false;
+  bool profiled = false;
+  bool msgtraced = false;
+};
+
+HotpathRow run_once(const tiling::TilingModel& model, Int n, Shape shape) {
   engine::EngineOptions opt;
-  opt.ranks = ranks;
-  opt.threads = 1;
-  if (monitored) opt.obs.monitor = "-";  // live telemetry, no event log
-  if (profiled) opt.obs.profile = "-";   // sampling profiler, no document
-  if (msgtraced) opt.obs.msgtrace = "-";  // collect records, no doc
+  opt.ranks = shape.ranks;
+  opt.threads = shape.threads;
+  if (shape.monitored) opt.obs.monitor = "-";  // live telemetry, no event log
+  if (shape.profiled) opt.obs.profile = "-";   // sampling profiler, no document
+  if (shape.msgtraced) opt.obs.msgtrace = "-";  // collect records, no doc
   std::int64_t alloc0 = counter_value("runtime.edge_alloc");
   std::int64_t hit0 = counter_value("runtime.pool_hit");
   auto r = engine::run(model, {n}, [](const engine::Cell& c) {
@@ -76,18 +84,20 @@ double table_deliver_pop_once(Int n) {
   };
   std::vector<double> payload(4, 1.0);
   const auto t0 = std::chrono::steady_clock::now();
-  runtime::ShardedTileTable<double> table(order, 1);
+  runtime::TileTable<double> table(order);
+  runtime::TileTable<double>::Worker local;
   table.seed_ready({0, 0});
   long long popped = 0;
-  while (auto ready = table.pop(0)) {
+  while (auto ready = table.pop(local)) {
     ++popped;
     const IntVec& t = ready->tile;
     for (int k = 0; k < 2; ++k) {
       IntVec c = t;
       c[static_cast<std::size_t>(k)] += 1;
       if (c[0] >= n || c[1] >= n) continue;
-      table.deliver(c, deps, runtime::EdgeData<double>{k, payload});
+      table.deliver(local, c, deps, runtime::EdgeData<double>{k, payload});
     }
+    local.recycle(std::move(*ready));
   }
   if (popped != n * n) return -1.0;
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -96,13 +106,11 @@ double table_deliver_pop_once(Int n) {
 
 /// dpgen-bench entries: the same workloads as the table, at sizes small
 /// enough for repeated gated trials.
-obs::BenchSample hotpath_sample(Int width, Int n, int ranks,
-                                bool monitored = false, bool profiled = false,
-                                bool msgtraced = false) {
+obs::BenchSample hotpath_sample(Int width, Int n, Shape shape) {
   tiling::TilingModel model(grid_spec(width));
   std::int64_t bytes0 =
       obs::MetricsRegistry::instance().counter("comm.bytes_sent").value();
-  HotpathRow row = run_once(model, n, ranks, monitored, profiled, msgtraced);
+  HotpathRow row = run_once(model, n, shape);
   const double bytes_on_wire = static_cast<double>(
       obs::MetricsRegistry::instance().counter("comm.bytes_sent").value() -
       bytes0);
@@ -122,28 +130,34 @@ obs::BenchSample hotpath_sample(Int width, Int n, int ranks,
 }
 
 [[maybe_unused]] const bool registered = [] {
-  register_bench("hotpath/grid_w2",
-                 [] { return hotpath_sample(2, 255, 1); });
+  register_bench("hotpath/grid_w2", [] { return hotpath_sample(2, 255, {}); });
   register_bench("hotpath/grid_w2_r2",
-                 [] { return hotpath_sample(2, 255, 2); });
+                 [] { return hotpath_sample(2, 255, {.ranks = 2}); });
+  // One rank, four workers on its shared tile table: guards the table's
+  // one-heap-lock-per-tile path, which no single-thread row exercises.
+  register_bench("hotpath/grid_w2_t4",
+                 [] { return hotpath_sample(2, 255, {.threads = 4}); });
   // Same workload with the live monitor attached: guards the "monitoring
   // costs < 3% edge throughput" budget (ISSUE 6) — the steady-state cost
   // is one relaxed load per tile.
-  register_bench("hotpath/grid_w2_mon",
-                 [] { return hotpath_sample(2, 255, 1, true); });
+  register_bench("hotpath/grid_w2_mon", [] {
+    return hotpath_sample(2, 255, {.monitored = true});
+  });
   // Same workload with the sampling profiler + per-tile counter windows
   // attached: guards the "continuous profiling costs < 3% edge
   // throughput" budget — the steady-state cost is two frame-stack stores
   // per span plus an adaptive-stride counter read (most tiles skip it).
-  register_bench("hotpath/grid_w2_prof",
-                 [] { return hotpath_sample(2, 255, 1, false, true); });
+  register_bench("hotpath/grid_w2_prof", [] {
+    return hotpath_sample(2, 255, {.profiled = true});
+  });
   // The 2-rank workload with message tracing on: guards the "msgtrace
   // costs < 3% edge throughput" budget (ISSUE 10).  Compare against
   // grid_w2_r2 — grid_w2 is single-rank and sends no messages, so it
   // would measure nothing.  The steady-state cost is six steady-clock
   // stamps plus one ring store per remote edge.
-  register_bench("hotpath/grid_w2_msgtrace",
-                 [] { return hotpath_sample(2, 255, 2, false, false, true); });
+  register_bench("hotpath/grid_w2_msgtrace", [] {
+    return hotpath_sample(2, 255, {.ranks = 2, .msgtraced = true});
+  });
   register_bench("hotpath/table_deliver_pop", [] {
     obs::BenchSample s;
     const Int n = 64;
@@ -165,23 +179,24 @@ void hotpath_table() {
     const char* name;
     Int width;
     Int n;
-    int ranks;
+    Shape shape;
   };
   // N chosen so each config runs ~10^4..10^5 tiles: big enough for a
   // stable steady state, small enough for the check.sh smoke flavour.
   const Config configs[] = {
-      {"grid/w2", 2, 511, 1},
-      {"grid/w4", 4, 511, 1},
-      {"grid/w2/r2", 2, 511, 2},
-      {"grid/w4/r2", 4, 511, 2},
+      {"grid/w2", 2, 511, {}},
+      {"grid/w4", 4, 511, {}},
+      {"grid/w2/r2", 2, 511, {.ranks = 2}},
+      {"grid/w4/r2", 4, 511, {.ranks = 2}},
+      {"grid/w2/t4", 2, 511, {.threads = 4}},
   };
   for (const auto& cfg : configs) {
     tiling::TilingModel model(grid_spec(cfg.width));
     // One warm-up, then best-of-3 (the container is a single shared core).
-    (void)run_once(model, cfg.n, cfg.ranks);
+    (void)run_once(model, cfg.n, cfg.shape);
     HotpathRow best;
     for (int rep = 0; rep < 3; ++rep) {
-      HotpathRow row = run_once(model, cfg.n, cfg.ranks);
+      HotpathRow row = run_once(model, cfg.n, cfg.shape);
       if (best.seconds == 0.0 || row.seconds < best.seconds) best = row;
     }
     const double eps = best.seconds > 0 ? best.edges / best.seconds : 0.0;

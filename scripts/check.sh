@@ -322,13 +322,13 @@ if [[ "${1:-}" != "--quick" ]]; then
   # handler against frame pushes, tile counter windows and stop()
   # aggregation with every thread instrumented.
   # test_msgtrace rides along: its end-to-end cases stamp message
-  # envelopes from every worker thread over the sharded tile table, so
+  # envelopes from every worker thread over the shared tile table, so
   # the lifecycle stamps and per-thread record rings get a race check.
   cmake --build build-tsan --target test_minimpi test_runtime test_obs \
     test_engine test_hotpath test_monitor test_codegen_passes test_faults \
     test_profile test_msgtrace
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'MiniMpi|Transport|Runtime|Obs|Engine|Tracer|Metrics|Export|Hotpath|Monitor|CodegenPasses|Fault|Chaos|Checkpoint|TableState|Profile|SchemaRegistry|MsgTrace' \
+    -R 'MiniMpi|Transport|Runtime|Obs|Engine|Tracer|Metrics|Export|Hotpath|Monitor|CodegenPasses|Fault|Chaos|Checkpoint|TableState|TileTable|ShardedTable|Profile|SchemaRegistry|MsgTrace' \
     -E 'ChaosSoak.Replay100'
 
   echo "==== DPGEN_TRACE=0 pass (tracing compiled out)"
@@ -357,7 +357,8 @@ if [[ "${1:-}" != "--quick" ]]; then
   # full-pipeline variant must hold >= 1.3x the pass-free center-loop
   # throughput on at least two families (checked below from the same run).
   gate_filter="fm,initial_tiles,loadbalance/balancer,analysis,suite/lcs2"
-  gate_filter="$gate_filter,hotpath/grid_w2,hotpath/table_deliver_pop"
+  gate_filter="$gate_filter,hotpath/grid_w2,hotpath/grid_w2_t4"
+  gate_filter="$gate_filter,hotpath/table_deliver_pop"
   gate_filter="$gate_filter,codegen/,faults/"
   build-release/tools/dpgen-bench --filter="$gate_filter" --trials=5 \
     --json="bench-archive/run-latest.json" --archive --gate
@@ -383,46 +384,45 @@ if len(ok) < 2:
     sys.exit("codegen perf gate: >= 1.3x on %d/%d families (need 2)"
              % (len(ok), len(ratios)))
 EOF
-  # Continuous-profiling overhead gate (docs/observability.md): the
-  # sampling profiler + adaptive-stride counter windows must cost < 3%
-  # of edge throughput on the scheduling-bound workload, from the same
-  # archived run (grid_w2 vs grid_w2_prof, both pulled in by the
-  # hotpath/grid_w2 prefix above).  An absolute contract, not a
-  # baseline comparison.
-  python3 - bench-archive/run-latest.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-rate = {b["name"]: b["metrics"]["edges_per_s"] for b in doc["benches"]
-        if b["name"].startswith("hotpath/grid_w2")}
-plain, prof = rate.get("hotpath/grid_w2"), rate.get("hotpath/grid_w2_prof")
-if not plain or not prof:
-    sys.exit("profile overhead gate: missing hotpath/grid_w2 or "
-             "hotpath/grid_w2_prof in the archived run")
-overhead = 100.0 * (1.0 - prof / plain)
-print("continuous-profiling overhead: %.2f%% (budget < 3%%)" % overhead)
-if prof < 0.97 * plain:
-    sys.exit("profile overhead gate: profiling costs %.2f%% of edge "
-             "throughput (budget 3%%)" % overhead)
-EOF
-  # Message-tracing overhead gate (docs/observability.md): stamping and
-  # recording every message lifecycle must cost < 3% of edge throughput.
-  # The baseline is grid_w2_r2, NOT grid_w2 — the single-rank workload
-  # sends no messages, so it would measure nothing.  Both entries come in
-  # through the hotpath/grid_w2 prefix above.
-  python3 - bench-archive/run-latest.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-rate = {b["name"]: b["metrics"]["edges_per_s"] for b in doc["benches"]
-        if b["name"].startswith("hotpath/grid_w2")}
-plain, mt = rate.get("hotpath/grid_w2_r2"), rate.get("hotpath/grid_w2_msgtrace")
-if not plain or not mt:
-    sys.exit("msgtrace overhead gate: missing hotpath/grid_w2_r2 or "
-             "hotpath/grid_w2_msgtrace in the archived run")
-overhead = 100.0 * (1.0 - mt / plain)
-print("message-tracing overhead: %.2f%% (budget < 3%%)" % overhead)
-if mt < 0.97 * plain:
-    sys.exit("msgtrace overhead gate: tracing costs %.2f%% of edge "
-             "throughput (budget 3%%)" % overhead)
+  # Continuous-profiling and message-tracing overhead gates
+  # (docs/observability.md): the sampling profiler (with its adaptive-
+  # stride counter windows) and the message-lifecycle stamps must each
+  # cost < 3% of edge throughput on the scheduling-bound workload.  One
+  # pair of samples on a shared VM spreads wider than the budget, so each
+  # gate takes the median overhead over 15 interleaved pairs: every round
+  # runs each hotpath/grid_w2* bench back to back (one warm-up, then the
+  # median of 3 trials) and yields one (plain, instrumented) pair per
+  # instrument.  msgtrace pairs with
+  # grid_w2_r2, NOT grid_w2 — the single-rank workload sends no messages,
+  # so it would measure nothing.  Absolute contracts, not baseline
+  # comparisons.
+  python3 - build-release/tools/dpgen-bench <<'EOF'
+import json, os, statistics, subprocess, sys, tempfile
+bench = sys.argv[1]
+pairs = {"continuous-profiling": ("hotpath/grid_w2", "hotpath/grid_w2_prof"),
+         "message-tracing": ("hotpath/grid_w2_r2", "hotpath/grid_w2_msgtrace")}
+overhead = {gate: [] for gate in pairs}
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "round.json")
+    for _ in range(15):
+        subprocess.run([bench, "--filter=hotpath/grid_w2", "--trials=3",
+                        "--warmup=1", "--json=" + out],
+                       check=True, stdout=subprocess.DEVNULL)
+        rate = {b["name"]: b["metrics"]["edges_per_s"]
+                for b in json.load(open(out))["benches"]}
+        for gate, (plain, inst) in pairs.items():
+            overhead[gate].append(100.0 * (1.0 - rate[inst] / rate[plain]))
+failed = []
+for gate, pct in overhead.items():
+    med = statistics.median(pct)
+    print("%s overhead: median %.2f%% over %d interleaved pairs "
+          "(budget < 3%%; pairs %s)"
+          % (gate, med, len(pct), " ".join("%.1f" % x for x in pct)))
+    if med >= 3.0:
+        failed.append(gate)
+if failed:
+    sys.exit("overhead gate: %s over the 3%% edge-throughput budget"
+             % ", ".join(failed))
 EOF
   # Checkpoint clean-path overhead gate (docs/fault-tolerance.md): logging
   # every tile completion must cost < 3% of tile throughput on the

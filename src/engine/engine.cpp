@@ -155,7 +155,6 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
 
   runtime::RunOptions ropt;
   ropt.threads = options.threads;
-  ropt.queue_shards = options.queue_shards;
   // Priority dimensions: load-balanced dims first, then the rest in loop
   // order (paper Fig. 5).
   ropt.order = runtime::TileOrder(model.lb_dims(),

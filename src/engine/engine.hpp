@@ -74,9 +74,6 @@ struct EngineOptions {
   /// When set, per-cell decisions written through Cell::decision are
   /// stored run-length encoded (paper VII.A's decision matrix).
   class DecisionLog* decision_log = nullptr;
-  /// Number of ready-queue shards per rank (paper VII.C: separate shared
-  /// data structures for groups of cores).  1 = one global queue.
-  int queue_shards = 1;
   /// Track the maximum value over ALL locations (and its lexicographically
   /// smallest location) — the objective shape of local-alignment style
   /// DPs, where the answer is max over the whole space rather than f(0).

@@ -180,7 +180,7 @@ class CheckpointStore {
   /// Registers a rank's live table so periodic flushes record its
   /// occupancy; detach before the table dies (the driver uses an RAII
   /// guard around each attempt).
-  void attach_table(int rank, const ShardedTileTable<S>* table) {
+  void attach_table(int rank, const TileTable<S>* table) {
     std::lock_guard<std::mutex> lock(mu_);
     tables_[rank] = table;
   }
@@ -285,7 +285,7 @@ class CheckpointStore {
   long long since_flush_ = 0;
   std::unordered_set<IntVec, IntVecHash> executed_;
   std::unordered_map<IntVec, std::vector<EdgeData<S>>, IntVecHash> edges_;
-  std::unordered_map<int, const ShardedTileTable<S>*> tables_;
+  std::unordered_map<int, const TileTable<S>*> tables_;
   std::atomic<bool> replay_{false};  ///< see replay_possible()
 };
 

@@ -128,9 +128,6 @@ class ProblemHooks {
 struct RunOptions {
   int threads = 1;
   TileOrder order;
-  /// Ready-queue shards (paper VII.C); workers prefer shard
-  /// (worker_id mod shards) and steal from the rest.
-  int queue_shards = 1;
   /// Fill fresh tile buffers with NaN instead of zero so that reads of
   /// never-written ghost cells surface as NaNs (floating-point S only).
   bool poison_buffers = false;
@@ -353,7 +350,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   const Int owned = hooks.owned_tiles(rank);
 
   RunStats stats;
-  ShardedTileTable<S> table(opt.order, opt.queue_shards);
+  TileTable<S> table(opt.order, opt.threads);
   // Producers can only re-execute (and re-send credited edges) after a
   // resume or restart; the per-edge executed() screens below are skipped
   // entirely on a clean first attempt.  Fixed for the whole attempt: the
@@ -400,6 +397,9 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
     }
   } checkpoint_detach{checkpoint, rank};
   std::mutex poll_mu;  // the paper's "poll ... if lock available"
+  // A one-rank world has no peer to hear from: skip the mailbox (and its
+  // two locks) on every tile.
+  const bool has_peers = comm.size() > 1;
   // Worker-failure latch: the first exception a worker throws (a
   // TransportFailure from a poisoned wire, or a hook error) is captured
   // and rethrown after the join; progress.worker_failed stops the other
@@ -416,7 +416,9 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
 
   auto worker = [&](int worker_id) {
     WorkerProbe probe(run_probe, worker_id);
-    const int preferred_shard = worker_id % table.shards();
+    // This worker's side of the table: the tiles its deliveries complete
+    // wait there for its next pop.
+    typename TileTable<S>::Worker local;
     std::vector<S> buffer(static_cast<std::size_t>(hooks.buffer_size()));
     // Payload vectors cycle worker-locally: each tile's unpack releases
     // exactly the buffers its packs then re-acquire, so after warm-up
@@ -432,6 +434,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
 
     // 6. drain this rank's mailbox into the table if the comm lock is free.
     auto poll = [&]() -> bool {
+      if (!has_peers) return false;
       std::unique_lock<std::mutex> lock(poll_mu, std::try_to_lock);
       if (!lock.owns_lock()) return false;
       auto span = probe.poll();
@@ -452,7 +455,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
         if (replayed)
           payload_pool.release(std::move(ed.payload));
         else
-          table.deliver(poll_consumer, expected_deps, std::move(ed));
+          table.deliver(local, poll_consumer, expected_deps, std::move(ed));
         got = true;
       }
       return got;
@@ -461,7 +464,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
     while (!progress.worker_failed.load(std::memory_order_acquire) &&
            progress.done.load(std::memory_order_acquire) < owned) {
       // 1. get the next available tile
-      auto ready = table.pop(preferred_shard);
+      auto ready = table.pop(local);
       if (!ready) {
         // 6'. idle path: poll, then back off so the core is not burnt.
         probe.idle_begin();
@@ -541,7 +544,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
           probe.edge_routed(e, count, /*remote=*/false);
           if (checkpoint)
             ckpt_edges.push_back(CheckpointEdge<S>{consumer, e, ed.payload});
-          table.deliver(consumer, expected_deps, std::move(ed));
+          table.deliver(local, consumer, expected_deps, std::move(ed));
         } else {
           // Remote edge: pack straight into the wire buffer after the
           // reserved header, then move the buffer into the mailbox.
@@ -573,6 +576,8 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
                 if (progress.worker_failed.load(std::memory_order_acquire))
                   raise("peer worker failed while this send was blocked");
                 poll();
+                // Tiles this poll made ready must not wait for the send.
+                table.flush(local);
                 send_backoff.pause();
               } while (!comm.try_send(dst, e, wire, env));
             });
@@ -588,15 +593,17 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
         ckpt_edges.clear();
       }
 
-      // 5. hand the tile's containers back to the table so the next
-      // pending slots reuse their heap storage (payloads already went to
-      // payload_pool during unpack).
-      table.recycle(std::move(*ready));
+      // 5. keep the tile's containers so this worker's next pending
+      // slots reuse their heap storage (payloads already went to
+      // payload_pool during unpack); the tiles step 4 made ready reach
+      // the heap in the next pop.
+      local.recycle(std::move(*ready));
       progress.done.fetch_add(1, std::memory_order_release);
       probe.tile_end();
       // 6. opportunistic poll
       poll();
     }
+    table.flush(local);
     probe.finish(payload_pool.hits(), payload_pool.misses());
   };
 

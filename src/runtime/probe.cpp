@@ -77,8 +77,8 @@ RunProbe::RunProbe(const RunOptions& opt, minimpi::Comm& comm,
   total_.edge_sent.assign(static_cast<std::size_t>(num_edges), 0);
 }
 
-// Takes the shard locks, so it only runs when the monitor's sampler raised
-// this rank's want flag (claim()), never on the steady-state path.
+// Takes the table's heap lock, so it only runs when the monitor's sampler
+// raised this rank's want flag (claim()), never on the steady-state path.
 obs::RankSnapshot RunProbe::snapshot() const {
   obs::RankSnapshot s;
   s.t_s = monitor_->now_s();

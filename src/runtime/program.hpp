@@ -156,7 +156,7 @@ class GeneratedHooks final : public ProblemHooks<S> {
 };
 
 /// A generated program's whole main(): parses the command line (the
-/// parameters, then --ranks= --threads= --capacity= --shards= --policy=
+/// parameters, then --ranks= --threads= --capacity= --policy=
 /// and the observability flags; a bad one prints the usage line and
 /// returns 2), runs the user's init code, cuts the partition, runs every
 /// rank and prints the RESULT / MAX / STATS lines and the instruments'
@@ -165,7 +165,7 @@ template <typename S>
 int program_main(const GeneratedProblem<S>& p, int argc, char** argv) {
   const int nparams = static_cast<int>(p.params.size());
   IntVec params(p.params.size());
-  int ranks = 1, threads = 1, shards = 1;
+  int ranks = 1, threads = 1;
   long long capacity = 0;
   auto policy = PriorityPolicy::kColumnMajor;
   obs::SessionOptions obs_opt;
@@ -181,7 +181,6 @@ int program_main(const GeneratedProblem<S>& p, int argc, char** argv) {
       const char* arg = argv[i];
       if (int_flag(arg, "--ranks=", 1, &ranks) ||
           int_flag(arg, "--threads=", 1, &threads) ||
-          int_flag(arg, "--shards=", 1, &shards) ||
           int_flag(arg, "--capacity=", 0, &capacity) ||
           obs_opt.parse_flag(arg))
         continue;
@@ -197,7 +196,7 @@ int program_main(const GeneratedProblem<S>& p, int argc, char** argv) {
     for (const std::string& name : p.params) usage += " <" + name + ">";
     std::fprintf(stderr,
                  "%s\nusage: %s%s [--ranks=R] [--threads=T] [--capacity=C] "
-                 "[--shards=S] [--policy=column|level] %s\n",
+                 "[--policy=column|level] %s\n",
                  e.what(), argv[0], usage.c_str(),
                  obs::SessionOptions::kUsage);
     return 2;
@@ -217,7 +216,6 @@ int program_main(const GeneratedProblem<S>& p, int argc, char** argv) {
     ResultSink results(p.probes, p.widths);
     RunOptions opt;
     opt.threads = threads;
-    opt.queue_shards = shards;
     opt.order = TileOrder(p.lb_dims, p.dep_signs, policy);
     opt.monitor = session.monitor();
     minimpi::World world(ranks, static_cast<std::size_t>(capacity));

@@ -9,17 +9,39 @@
 //   * the ready queue holds tiles whose dependencies are all satisfied,
 //     ordered by the TileOrder priority (Fig. 5).
 //
-// Both are flat, allocation-light structures: the ready queue is a binary
-// heap over a contiguous vector (std::push_heap/pop_heap with the TileOrder
-// comparator — same pop order as the old std::map, without a node
-// allocation per ready tile), and the pending table is an open-addressing
-// linear-probe map keyed by a hash the caller computes once (the sharded
-// wrapper reuses it for shard selection, so each delivery hashes its tile
-// exactly once).  Tombstoned slots keep their vectors' heap storage, so a
-// busy table stops allocating once it reaches steady state.
+// One table serves all of a rank's worker threads (the paper's shared
+// OpenMP structures), and it is laid out so that a tile costs one lock on
+// the shared heap:
+//   * pending tiles live in hash stripes, each an open-addressing
+//     linear-probe map under its own lock; a rank with T > 1 threads has
+//     the next power of two >= 4T stripes, a one-thread rank exactly one;
+//   * the delivery that completes a tile hands it to the delivering
+//     worker's Worker list instead of a queue;
+//   * one binary heap (std::push_heap/pop_heap with the TileOrder
+//     comparator) holds the ready tiles under one lock; a worker's pop
+//     pushes the tiles its own deliveries completed and pops the earliest
+//     tile in a single critical section, so the rank-wide priority order
+//     stays exact;
+//   * spare containers are worker-local, and the rank-level counters are
+//     folded in from worker-local deltas inside that same critical
+//     section, so no shared counter is touched per edge;
+//   * an idle worker reads the heap's size (an atomic stored under the
+//     lock) instead of taking the lock, so it does not queue behind the
+//     workers that have tiles to push.
+// Tombstoned slots and recycled tiles keep their vectors' heap storage, so
+// a busy table stops allocating once it reaches steady state.
 //
-// Both are guarded by one mutex per shard; the paper notes contention on
-// these structures has not been a bottleneck, and it is not here either.
+// Contention on this table *is* a bottleneck on small tiles.  The earlier
+// layout took one shard mutex three to four times per tile (pop, one
+// deliver per outgoing edge, recycle) plus a shared atomic per ready push
+// and pop.  On lcs_fine (141,376 16x16 tiles, about 3 us each at one
+// thread, most of it scheduling) one rank with 4 threads then ran 0.77 s
+// wall / 2.1 s CPU, against 0.41 s with 1 thread and 0.19 s as 4
+// one-thread ranks (4-vCPU VM); this layout runs the 1x4 shape in about
+// 0.22 s / 0.74 s CPU.  Per-worker heaps with stealing were faster still
+// on a prototype, but they weaken the global priority order, and
+// bandit2's peak RSS grew from 37 to 55 MB — the §V.B memory bound this
+// order exists for.
 
 #include <algorithm>
 #include <atomic>
@@ -56,23 +78,26 @@ struct ReadyTile {
   std::vector<EdgeData<S>> edges;
 };
 
-/// Instantaneous scheduler state, read under the shard locks.  Feeds the
-/// driver's stall-abort diagnostics: a stalled rank reports what it was
-/// waiting on (tiles still missing dependencies, edges buffered for them)
-/// rather than just that it waited.
+/// Scheduler state, read under the heap lock.  Feeds the driver's
+/// stall-abort diagnostics: a stalled rank reports what it was waiting on
+/// (tiles still missing dependencies, edges buffered for them) rather than
+/// just that it waited.  Deliveries a worker has made since its last pop
+/// are not in it yet.
 struct TableSnapshot {
   long long pending_tiles = 0;   ///< tiles with unsatisfied dependencies
   long long ready_tiles = 0;     ///< eligible tiles not yet popped
   long long buffered_edges = 0;  ///< edges held for pending tiles
 };
 
-/// Memory-usage counters exposed for the FIG4 / PEND reproductions.
+/// Memory-usage counters exposed for the FIG4 / PEND reproductions.  The
+/// peaks are rank-level: exact at one thread, and taken at the heap's
+/// critical sections with more.
 struct TableStats {
   long long peak_pending_tiles = 0;
   long long peak_buffered_edges = 0;
   long long peak_buffered_scalars = 0;
   long long delivered_edges = 0;
-  /// Most tiles simultaneously eligible (ready-queue depth high-water).
+  /// Most tiles simultaneously eligible (ready-heap size high-water).
   long long peak_ready_tiles = 0;
   /// Redeliveries of an edge index a pending tile already buffered —
   /// dropped on arrival.  Nonzero under a duplicating transport fault or a
@@ -94,10 +119,8 @@ struct TableState {
 };
 
 namespace detail {
-/// Second hash round applied before probing.  Shard selection consumes the
-/// low bits of the tile hash (h % shards), so every tile landing in one
-/// shard shares them; scrambling keeps those keys from clustering into
-/// every shards-th probe slot.
+/// Second hash round applied to IntVecHash before use: its high bits pick
+/// the stripe and its low bits the probe slot, so both need mixing.
 inline std::size_t scramble_hash(std::size_t h) {
   std::uint64_t x = h;
   x ^= x >> 33;
@@ -107,68 +130,83 @@ inline std::size_t scramble_hash(std::size_t h) {
 }
 }  // namespace detail
 
-/// Rank-level ready-queue depth, shared by all shards of one table so the
-/// TableStats peak (published once per run as the
-/// `runtime.ready_queue_depth` gauge) describes the rank's real queue
-/// depth rather than a per-shard (or summed-peaks) approximation.
-class ReadyDepthAgg {
- public:
-  void add(long long delta) {
-    long long cur = depth_.fetch_add(delta, std::memory_order_relaxed) + delta;
-    if (delta > 0) {
-      long long peak = peak_.load(std::memory_order_relaxed);
-      while (cur > peak &&
-             !peak_.compare_exchange_weak(peak, cur,
-                                          std::memory_order_relaxed)) {
-      }
-    }
-  }
-
-  long long peak() const { return peak_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<long long> depth_{0};
-  std::atomic<long long> peak_{0};
-};
-
 template <typename S>
-class alignas(64) TileTable {
+class TileTable {
  public:
-  /// `depth` aggregates ready-queue depth across shards; when null the
-  /// table tracks its own (single-shard use and tests).
-  explicit TileTable(const TileOrder& order, ReadyDepthAgg* depth = nullptr)
-      : depth_(depth ? depth : &own_depth_), order_(order) {
-    slots_.resize(kInitialSlots);
+  /// One worker thread's side of the table: the tiles its deliveries made
+  /// ready (pushed to the heap by its next pop or flush), its spare
+  /// containers, and its not-yet-folded counter deltas.  Owned and used by
+  /// one thread only.
+  class Worker {
+   public:
+    /// Keeps a processed tile's containers (the tile coordinates and the
+    /// edges vector — payloads are expected to have been moved out
+    /// already) so this worker's future pending slots reuse their heap
+    /// storage.
+    void recycle(ReadyTile<S>&& done) {
+      if (spares_.size() >= kMaxSpares) return;
+      done.edges.clear();
+      spares_.push_back(std::move(done));
+    }
+
+   private:
+    friend class TileTable;
+    /// A counter's change since the last fold and the highest that change
+    /// reached, so folding can recover the peak in between.
+    struct Level {
+      long long delta = 0;
+      long long high = 0;
+      void add(long long d) {
+        delta += d;
+        high = std::max(high, delta);
+      }
+    };
+    // Bounds a worker that mostly pops and rarely opens slots.
+    static constexpr std::size_t kMaxSpares = 256;
+
+    std::vector<ReadyTile<S>> ready_;
+    std::vector<ReadyTile<S>> spares_;
+    Level pending_, edges_, scalars_;
+  };
+
+  /// A table for a rank of `threads` workers (which sets the stripe count).
+  explicit TileTable(const TileOrder& order, int threads = 1)
+      : order_(order), stripe_count_(stripes_for(threads)) {
+    DPGEN_CHECK(threads >= 1, "a tile table needs at least one thread");
+    stripes_ = std::make_unique<Stripe[]>(stripe_count_);
   }
 
-  // The heap comparator and depth aggregate point into the table; pinning
-  // it keeps those references valid.
+  // The heap comparator points into the table; pinning it keeps that
+  // reference valid.
   TileTable(const TileTable&) = delete;
   TileTable& operator=(const TileTable&) = delete;
 
-  /// Seeds a dependency-free (initial) tile straight into the ready queue.
+  /// Pending-map stripes for a rank of `threads` workers: 1 at one thread
+  /// (no other thread to contend with), else the next power of two >= 4
+  /// per thread, which keeps two workers on one stripe rare.
+  static std::size_t stripes_for(int threads) {
+    std::size_t n = 1;
+    if (threads > 1)
+      while (n < 4 * static_cast<std::size_t>(threads)) n *= 2;
+    return n;
+  }
+
+  /// Seeds a dependency-free (initial) tile straight into the ready heap.
   void seed_ready(IntVec tile) {
-    std::lock_guard<std::mutex> lock(mu_);
-    push_ready(std::move(tile), {});
+    std::lock_guard<std::mutex> lock(heap_mu_);
+    push_locked(ReadyTile<S>{std::move(tile), {}});
   }
 
-  /// Delivers one edge for `tile`.  On first sight of the tile,
-  /// expected_deps is consulted for its total in-space dependency count.
-  /// When the last dependency arrives the tile moves to the ready queue.
+  /// Delivers one edge for `tile` on behalf of worker `w`.  On first sight
+  /// of the tile, expected_deps is consulted for its total in-space
+  /// dependency count.  When the last dependency arrives the tile goes to
+  /// w's ready list, and w's next pop (or flush) publishes it.
   template <typename ExpectedFn>
-  void deliver(const IntVec& tile, ExpectedFn&& expected_deps,
+  void deliver(Worker& w, const IntVec& tile, ExpectedFn&& expected_deps,
                EdgeData<S> edge) {
-    deliver_hashed(tile, IntVecHash{}(tile),
-                   std::forward<ExpectedFn>(expected_deps), std::move(edge));
-  }
-
-  /// Fast path: the caller supplies IntVecHash{}(tile), computed once and
-  /// shared with shard selection.
-  template <typename ExpectedFn>
-  void deliver_hashed(const IntVec& tile, std::size_t tile_hash,
-                      ExpectedFn&& expected_deps, EdgeData<S> edge) {
-    const std::size_t hash = detail::scramble_hash(tile_hash);
-    std::lock_guard<std::mutex> lock(mu_);
+    const std::size_t hash = detail::scramble_hash(IntVecHash{}(tile));
+    Stripe& st = stripe_for(hash);
+    std::lock_guard<std::mutex> lock(st.mu);
     // A duplicate that arrives after its tile already went ready must not
     // resurrect the tile: the slot is tombstoned by then, so without this
     // check the duplicate would open a fresh pending entry — and for a
@@ -178,18 +216,18 @@ class alignas(64) TileTable {
     // duplicates are possible at all (fault injection or replay); a clean
     // transport never re-delivers, and the clean path stays
     // allocation-free.
-    if (replay_guard_ && satisfied_.count(tile) != 0) {
-      ++stats_.duplicate_edges;
+    if (st.replay_guard && st.satisfied.count(tile) != 0) {
+      ++st.duplicates;
       return;
     }
-    grow_if_needed();
+    st.grow_if_needed();
 
-    const std::size_t mask = slots_.size() - 1;
+    const std::size_t mask = st.slots.size() - 1;
     std::size_t i = hash & mask;
     Slot* slot = nullptr;
     Slot* reuse = nullptr;  // first tombstone crossed while probing
     for (;;) {
-      Slot& s = slots_[i];
+      Slot& s = st.slots[i];
       if (s.state == kEmpty) break;
       if (s.state == kTombstone) {
         if (!reuse) reuse = &s;
@@ -202,25 +240,24 @@ class alignas(64) TileTable {
     if (!slot) {
       const int expected = expected_deps(tile);
       DPGEN_ASSERT(expected >= 1);
-      slot = reuse ? reuse : &slots_[i];
-      if (slot->state == kTombstone) --tombstones_;
+      slot = reuse ? reuse : &st.slots[i];
+      if (slot->state == kTombstone) --st.tombstones;
       slot->hash = hash;
-      if (slot->tile.capacity() == 0 && !spares_.empty()) {
+      if (slot->tile.capacity() == 0 && !w.spares_.empty()) {
         // The slot's vectors were moved out when its last tile went ready;
         // refill from a recycled pair so the assign/reserve below reuse
         // heap storage instead of allocating.
-        slot->tile = std::move(spares_.back().tile);
-        slot->edges = std::move(spares_.back().edges);
-        spares_.pop_back();
+        slot->tile = std::move(w.spares_.back().tile);
+        slot->edges = std::move(w.spares_.back().edges);
+        w.spares_.pop_back();
       }
       slot->tile.assign(tile.begin(), tile.end());
       slot->edges.clear();
       slot->edges.reserve(static_cast<std::size_t>(expected));
       slot->waiting = expected;
       slot->state = kOccupied;
-      ++size_;
-      stats_.peak_pending_tiles =
-          std::max(stats_.peak_pending_tiles, size_);
+      ++st.size;
+      w.pending_.add(1);
     }
 
     // Duplicate-edge guard: a faulty (or replayed) wire can deliver the
@@ -228,101 +265,138 @@ class alignas(64) TileTable {
     // execute the tile with dependencies missing.
     for (const auto& have : slot->edges) {
       if (have.edge == edge.edge) {
-        ++stats_.duplicate_edges;
+        ++st.duplicates;
         return;
       }
     }
 
-    cur_edges_ += 1;
-    cur_scalars_ += static_cast<long long>(edge.payload.size());
-    stats_.peak_buffered_edges =
-        std::max(stats_.peak_buffered_edges, cur_edges_);
-    stats_.peak_buffered_scalars =
-        std::max(stats_.peak_buffered_scalars, cur_scalars_);
-    ++stats_.delivered_edges;
-
+    ++st.delivered;
+    w.edges_.add(1);
+    w.scalars_.add(static_cast<long long>(edge.payload.size()));
     slot->edges.push_back(std::move(edge));
     if (--slot->waiting == 0) {
-      if (replay_guard_) satisfied_.insert(tile);
-      push_ready(std::move(slot->tile), std::move(slot->edges));
+      if (st.replay_guard) st.satisfied.insert(tile);
+      w.ready_.push_back(
+          ReadyTile<S>{std::move(slot->tile), std::move(slot->edges)});
       slot->tile.clear();
       slot->edges.clear();
       slot->state = kTombstone;
-      ++tombstones_;
-      --size_;
+      ++st.tombstones;
+      --st.size;
+      w.pending_.add(-1);
     }
   }
 
-  /// Pops the highest-priority ready tile, or nullopt when none is ready.
-  std::optional<ReadyTile<S>> pop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ready_.empty()) return std::nullopt;
-    std::pop_heap(ready_.begin(), ready_.end(), heap_before());
-    ReadyTile<S> out = std::move(ready_.back());
-    ready_.pop_back();
-    depth_->add(-1);
-    for (const auto& e : out.edges) {
-      cur_edges_ -= 1;
+  /// Delivery outside a worker loop (restart seeding, restore, tests): the
+  /// delivery is published at once.
+  template <typename ExpectedFn>
+  void deliver(const IntVec& tile, ExpectedFn&& expected_deps,
+               EdgeData<S> edge) {
+    Worker w;
+    deliver(w, tile, std::forward<ExpectedFn>(expected_deps),
+            std::move(edge));
+    flush(w);
+  }
+
+  /// Publishes w's ready tiles and counter deltas, then pops the
+  /// highest-priority ready tile — one critical section.  nullopt when
+  /// none is ready.
+  std::optional<ReadyTile<S>> pop(Worker& w) {
+    // An idle worker with nothing to publish polls the heap's size instead
+    // of its lock, so it does not queue behind the workers that have tiles.
+    if (w.ready_.empty() && w.edges_.delta == 0 && w.pending_.delta == 0 &&
+        heap_size_.load(std::memory_order_relaxed) == 0)
+      return std::nullopt;
+    std::lock_guard<std::mutex> lock(heap_mu_);
+    publish_locked(w);
+    if (heap_.empty()) return std::nullopt;
+    std::pop_heap(heap_.begin(), heap_.end(), heap_before());
+    ReadyTile<S> out = std::move(heap_.back());
+    heap_.pop_back();
+    heap_size_.store(heap_.size(), std::memory_order_relaxed);
+    cur_edges_ -= static_cast<long long>(out.edges.size());
+    for (const auto& e : out.edges)
       cur_scalars_ -= static_cast<long long>(e.payload.size());
-    }
     return out;
   }
 
-  /// Returns a processed tile's containers (the tile coordinates and the
-  /// edges vector — payloads are expected to have been moved out already)
-  /// so future pending slots reuse their heap storage.
-  void recycle(ReadyTile<S>&& done) {
-    done.edges.clear();
-    std::lock_guard<std::mutex> lock(mu_);
-    spares_.push_back(std::move(done));
+  std::optional<ReadyTile<S>> pop() {
+    Worker w;
+    return pop(w);
+  }
+
+  /// Publishes w's ready tiles and counter deltas without popping: before
+  /// a worker leaves its loop, or while it is held up mid-tile.
+  void flush(Worker& w) {
+    std::lock_guard<std::mutex> lock(heap_mu_);
+    publish_locked(w);
   }
 
   /// True when nothing is pending or ready (diagnostic only).
   bool idle() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return size_ == 0 && ready_.empty();
+    for (std::size_t s = 0; s < stripe_count_; ++s) {
+      std::lock_guard<std::mutex> lock(stripes_[s].mu);
+      if (stripes_[s].size != 0) return false;
+    }
+    std::lock_guard<std::mutex> lock(heap_mu_);
+    return heap_.empty();
   }
 
   TableStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    TableStats out = stats_;
-    out.peak_ready_tiles = depth_->peak();
+    TableStats out;
+    {
+      std::lock_guard<std::mutex> lock(heap_mu_);
+      out = peaks_;
+    }
+    for (std::size_t s = 0; s < stripe_count_; ++s) {
+      std::lock_guard<std::mutex> lock(stripes_[s].mu);
+      out.delivered_edges += stripes_[s].delivered;
+      out.duplicate_edges += stripes_[s].duplicates;
+    }
     return out;
   }
 
   TableSnapshot snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return {size_, static_cast<long long>(ready_.size()), cur_edges_};
+    std::lock_guard<std::mutex> lock(heap_mu_);
+    return {cur_pending_, static_cast<long long>(heap_.size()), cur_edges_};
   }
 
   /// Deep copy of the table contents for checkpointing (pending tiles with
-  /// their buffered edges, plus the ready queue in heap order).
+  /// their buffered edges, plus the ready heap in heap order).  Tiles still
+  /// on a worker's ready list are not in it: call with the workers flushed.
   TableState<S> export_state() const {
-    std::lock_guard<std::mutex> lock(mu_);
     TableState<S> out;
-    for (const Slot& s : slots_) {
-      if (s.state != kOccupied) continue;
-      out.pending.push_back(
-          typename TableState<S>::Pending{s.tile, s.waiting, s.edges});
+    for (std::size_t s = 0; s < stripe_count_; ++s) {
+      std::lock_guard<std::mutex> lock(stripes_[s].mu);
+      for (const Slot& slot : stripes_[s].slots) {
+        if (slot.state != kOccupied) continue;
+        out.pending.push_back(typename TableState<S>::Pending{
+            slot.tile, slot.waiting, slot.edges});
+      }
     }
-    out.ready = ready_;
+    std::lock_guard<std::mutex> lock(heap_mu_);
+    out.ready = heap_;
     return out;
   }
 
-  /// Arms the post-ready duplicate guard (the satisfied-tile set consulted
-  /// in deliver()).  Call before any tile goes ready, on tables that may
-  /// see re-delivered edges: fault-injected runs, checkpoint replay.  Off
-  /// by default — the guard costs a set insert per completed tile, which
-  /// would break the clean path's zero-per-edge-allocation invariant.
+  /// Arms the post-ready duplicate guard (the satisfied-tile sets
+  /// consulted in deliver()).  Call before any tile goes ready, on tables
+  /// that may see re-delivered edges: fault-injected runs, checkpoint
+  /// replay.  Off by default — the guard costs a set insert per completed
+  /// tile, which would break the clean path's zero-per-edge-allocation
+  /// invariant.
   void enable_replay_guard() {
-    std::lock_guard<std::mutex> lock(mu_);
-    replay_guard_ = true;
+    for (std::size_t s = 0; s < stripe_count_; ++s) {
+      std::lock_guard<std::mutex> lock(stripes_[s].mu);
+      stripes_[s].replay_guard = true;
+    }
   }
 
-  /// Reloads exported contents into this (expected empty) table.  Pending
-  /// tiles are replayed through the delivery path — same accounting, same
-  /// ready transition if the state says no dependencies remain.  A restore
-  /// implies replayed edges may still arrive, so the guard is armed.
+  /// Reloads exported contents into this (expected empty) table, whatever
+  /// its stripe count.  Pending tiles are replayed through the delivery
+  /// path — same accounting, same ready transition if the state says no
+  /// dependencies remain.  A restore implies replayed edges may still
+  /// arrive, so the guard is armed.
   void restore_state(const TableState<S>& state) {
     enable_replay_guard();
     for (const auto& p : state.pending) {
@@ -331,26 +405,21 @@ class alignas(64) TileTable {
       for (const auto& e : p.edges)
         deliver(p.tile, [&](const IntVec&) { return expected; }, e);
     }
-    for (const auto& r : state.ready) restore_ready(r);
-  }
-
-  /// Re-enqueues one checkpointed ready tile, restoring the buffered-edge
-  /// accounting that pop() will unwind.
-  void restore_ready(const ReadyTile<S>& r) {
-    std::lock_guard<std::mutex> lock(mu_);
-    replay_guard_ = true;
-    for (const auto& e : r.edges) {
-      cur_edges_ += 1;
-      cur_scalars_ += static_cast<long long>(e.payload.size());
+    // Ready tiles go back on the heap with the buffered-edge accounting
+    // that pop() will unwind; any further delivery for one is a duplicate.
+    Worker w;
+    for (const auto& r : state.ready) {
+      Stripe& st = stripe_for(detail::scramble_hash(IntVecHash{}(r.tile)));
+      {
+        std::lock_guard<std::mutex> lock(st.mu);
+        st.satisfied.insert(r.tile);
+      }
+      w.edges_.add(static_cast<long long>(r.edges.size()));
+      for (const auto& e : r.edges)
+        w.scalars_.add(static_cast<long long>(e.payload.size()));
+      w.ready_.push_back(r);
     }
-    stats_.peak_buffered_edges =
-        std::max(stats_.peak_buffered_edges, cur_edges_);
-    stats_.peak_buffered_scalars =
-        std::max(stats_.peak_buffered_scalars, cur_scalars_);
-    IntVec tile = r.tile;
-    std::vector<EdgeData<S>> edges = r.edges;
-    satisfied_.insert(tile);  // any further delivery for it is a duplicate
-    push_ready(std::move(tile), std::move(edges));
+    flush(w);
   }
 
  private:
@@ -367,6 +436,51 @@ class alignas(64) TileTable {
     std::vector<EdgeData<S>> edges;
   };
 
+  /// One lock's share of the pending map, cache-line aligned so two
+  /// stripes' locks never share a line.
+  struct alignas(64) Stripe {
+    mutable std::mutex mu;
+    std::vector<Slot> slots = std::vector<Slot>(kInitialSlots);
+    long long size = 0;  // occupied slots
+    std::size_t tombstones = 0;
+    long long delivered = 0;
+    long long duplicates = 0;
+    bool replay_guard = false;
+    /// Tiles whose dependency set has been fully delivered.  Late
+    /// duplicates of their edges are dropped on sight — the tombstone left
+    /// in slots forgets the tile's identity, so this set is what makes the
+    /// duplicate guard hold across the ready transition.  Populated only
+    /// when replay_guard is armed (see enable_replay_guard).
+    std::unordered_set<IntVec, IntVecHash> satisfied;
+
+    /// Called under mu.  Keeps the live+tombstone load factor under 3/4
+    /// so probe chains stay short; rehashing drops tombstones.
+    void grow_if_needed() {
+      if ((size + static_cast<long long>(tombstones) + 1) * 4 <=
+          static_cast<long long>(slots.size()) * 3)
+        return;
+      std::size_t cap = slots.size();
+      while (static_cast<std::size_t>(size + 1) * 4 > cap * 2) cap *= 2;
+      std::vector<Slot> old;
+      old.swap(slots);
+      slots.resize(cap);
+      tombstones = 0;
+      const std::size_t mask = cap - 1;
+      for (Slot& s : old) {
+        if (s.state != kOccupied) continue;
+        std::size_t i = s.hash & mask;
+        while (slots[i].state != kEmpty) i = (i + 1) & mask;
+        slots[i] = std::move(s);
+      }
+    }
+  };
+
+  /// The high bits of a scrambled hash pick the stripe; the low bits are
+  /// the probe start inside it.
+  Stripe& stripe_for(std::size_t hash) {
+    return stripes_[(hash >> 32) & (stripe_count_ - 1)];
+  }
+
   /// Max-heap comparator: the heap's top is the tile the TileOrder says
   /// runs first, so `before(a, b)` holds when a is *later* than b.
   auto heap_before() const {
@@ -375,182 +489,43 @@ class alignas(64) TileTable {
     };
   }
 
-  /// Called under mu_.
-  void push_ready(IntVec&& tile, std::vector<EdgeData<S>>&& edges) {
-    ready_.push_back(ReadyTile<S>{std::move(tile), std::move(edges)});
-    std::push_heap(ready_.begin(), ready_.end(), heap_before());
-    depth_->add(1);
+  /// Called under heap_mu_.
+  void push_locked(ReadyTile<S>&& tile) {
+    heap_.push_back(std::move(tile));
+    std::push_heap(heap_.begin(), heap_.end(), heap_before());
+    heap_size_.store(heap_.size(), std::memory_order_relaxed);
+    peaks_.peak_ready_tiles = std::max(
+        peaks_.peak_ready_tiles, static_cast<long long>(heap_.size()));
   }
 
-  /// Called under mu_.  Keeps the live+tombstone load factor under 3/4 so
-  /// probe chains stay short; rehashing drops tombstones.
-  void grow_if_needed() {
-    if ((size_ + tombstones_ + 1) * 4 <= slots_.size() * 3) return;
-    std::size_t cap = slots_.size();
-    while (static_cast<std::size_t>(size_ + 1) * 4 > cap * 2) cap *= 2;
-    std::vector<Slot> old;
-    old.swap(slots_);
-    slots_.resize(cap);
-    tombstones_ = 0;
-    const std::size_t mask = cap - 1;
-    for (Slot& s : old) {
-      if (s.state != kOccupied) continue;
-      std::size_t i = s.hash & mask;
-      while (slots_[i].state != kEmpty) i = (i + 1) & mask;
-      slots_[i] = std::move(s);
-    }
+  /// Called under heap_mu_: folds w's counter deltas into the rank-level
+  /// counters and peaks, and pushes its ready tiles.
+  void publish_locked(Worker& w) {
+    auto fold = [](typename Worker::Level& l, long long& cur,
+                   long long& peak) {
+      peak = std::max(peak, cur + l.high);
+      cur += l.delta;
+      l = {};
+    };
+    fold(w.pending_, cur_pending_, peaks_.peak_pending_tiles);
+    fold(w.edges_, cur_edges_, peaks_.peak_buffered_edges);
+    fold(w.scalars_, cur_scalars_, peaks_.peak_buffered_scalars);
+    for (auto& r : w.ready_) push_locked(std::move(r));
+    w.ready_.clear();
   }
 
-  // Every operation runs under mu_, and the object is cache-line aligned
-  // with the fields a critical section writes packed right behind the
-  // lock, so a lock hand-off moves the same few lines wherever the
-  // allocator put the table.
-  mutable std::mutex mu_;
-  std::vector<ReadyTile<S>> ready_;  // binary heap ordered by heap_before()
-  std::vector<Slot> slots_;
-  long long size_ = 0;        // occupied slots
-  std::size_t tombstones_ = 0;
-  ReadyDepthAgg* depth_;
+  const TileOrder order_;
+  const std::size_t stripe_count_;
+  std::unique_ptr<Stripe[]> stripes_;
+
+  // The ready heap and the rank-level counters, all under heap_mu_.
+  alignas(64) mutable std::mutex heap_mu_;
+  std::vector<ReadyTile<S>> heap_;  // binary heap ordered by heap_before()
+  std::atomic<std::size_t> heap_size_{0};  // heap_.size(), read unlocked
+  long long cur_pending_ = 0;
   long long cur_edges_ = 0;
   long long cur_scalars_ = 0;
-  TableStats stats_;
-  std::vector<ReadyTile<S>> spares_;  // recycled (tile, edges) containers
-  bool replay_guard_ = false;
-  TileOrder order_;
-  /// Tiles whose dependency set has been fully delivered (they moved to the
-  /// ready queue).  Late duplicates of their edges are dropped on sight —
-  /// the tombstone left in slots_ forgets the tile's identity, so this set
-  /// is what makes the duplicate guard hold across the ready transition.
-  /// Populated only when replay_guard_ is armed (see enable_replay_guard).
-  std::unordered_set<IntVec, IntVecHash> satisfied_;
-  ReadyDepthAgg own_depth_;
-};
-
-/// Sharded variant (paper section VII.C): "separate shared data structures
-/// for groups of closely connected cores — as long as its own queue has
-/// work, a core would not need to compete for locks outside its group."
-/// Tiles are assigned to shards by hash; workers pop from their preferred
-/// shard first and steal from the others when it is empty.  Global
-/// priority becomes approximate across shards, which is the accepted
-/// trade-off.
-template <typename S>
-class ShardedTileTable {
- public:
-  ShardedTileTable(const TileOrder& order, int shards) {
-    DPGEN_CHECK(shards >= 1, "need at least one queue shard");
-    for (int i = 0; i < shards; ++i)
-      shards_.push_back(std::make_unique<TileTable<S>>(order, &depth_));
-  }
-
-  int shards() const { return static_cast<int>(shards_.size()); }
-
-  /// Arms every shard's post-ready duplicate guard (see
-  /// TileTable::enable_replay_guard).
-  void enable_replay_guard() {
-    for (auto& s : shards_) s->enable_replay_guard();
-  }
-
-  void seed_ready(IntVec tile) {
-    shard_for(IntVecHash{}(tile)).seed_ready(std::move(tile));
-  }
-
-  template <typename ExpectedFn>
-  void deliver(const IntVec& tile, ExpectedFn&& expected_deps,
-               EdgeData<S> edge) {
-    const std::size_t h = IntVecHash{}(tile);
-    shard_for(h).deliver_hashed(tile, h,
-                                std::forward<ExpectedFn>(expected_deps),
-                                std::move(edge));
-  }
-
-  /// Pops from the preferred shard, stealing round-robin when empty.
-  std::optional<ReadyTile<S>> pop(int preferred) {
-    const int n = shards();
-    for (int i = 0; i < n; ++i) {
-      auto r = shards_[static_cast<std::size_t>((preferred + i) % n)]->pop();
-      if (r) return r;
-    }
-    return std::nullopt;
-  }
-
-  bool idle() const {
-    for (const auto& s : shards_)
-      if (!s->idle()) return false;
-    return true;
-  }
-
-  /// Hands a processed tile's containers back, rotating across shards so
-  /// every shard's freelist gets a supply regardless of which workers
-  /// finish tiles.
-  void recycle(ReadyTile<S>&& done) {
-    const std::size_t i =
-        recycle_next_.fetch_add(1, std::memory_order_relaxed);
-    shards_[i % shards_.size()]->recycle(std::move(done));
-  }
-
-  /// Aggregated statistics.  Memory peaks are summed over shards (they
-  /// bound the true simultaneous peak from above); the ready peak is the
-  /// shared depth aggregate's high-water, i.e. the true rank-level peak.
-  TableStats stats() const {
-    TableStats total;
-    for (const auto& s : shards_) {
-      TableStats t = s->stats();
-      total.peak_pending_tiles += t.peak_pending_tiles;
-      total.peak_buffered_edges += t.peak_buffered_edges;
-      total.peak_buffered_scalars += t.peak_buffered_scalars;
-      total.delivered_edges += t.delivered_edges;
-      total.duplicate_edges += t.duplicate_edges;
-    }
-    total.peak_ready_tiles = depth_.peak();
-    return total;
-  }
-
-  /// Shards concatenated into one flat state (the checkpoint does not
-  /// record sharding; restore re-routes by hash, so a state exported from
-  /// N shards restores cleanly into M).
-  TableState<S> export_state() const {
-    TableState<S> out;
-    for (const auto& s : shards_) {
-      TableState<S> t = s->export_state();
-      for (auto& p : t.pending) out.pending.push_back(std::move(p));
-      for (auto& r : t.ready) out.ready.push_back(std::move(r));
-    }
-    return out;
-  }
-
-  void restore_state(const TableState<S>& state) {
-    enable_replay_guard();
-    for (const auto& p : state.pending) {
-      const int expected =
-          p.waiting + static_cast<int>(p.edges.size());
-      for (const auto& e : p.edges)
-        deliver(p.tile, [&](const IntVec&) { return expected; }, e);
-    }
-    for (const auto& r : state.ready)
-      shard_for(IntVecHash{}(r.tile)).restore_ready(r);
-  }
-
-  /// Summed over shards; each shard is internally consistent but the
-  /// shards are read one after another, which is fine for diagnostics.
-  TableSnapshot snapshot() const {
-    TableSnapshot total;
-    for (const auto& s : shards_) {
-      TableSnapshot t = s->snapshot();
-      total.pending_tiles += t.pending_tiles;
-      total.ready_tiles += t.ready_tiles;
-      total.buffered_edges += t.buffered_edges;
-    }
-    return total;
-  }
-
- private:
-  TileTable<S>& shard_for(std::size_t hash) {
-    return *shards_[hash % shards_.size()];
-  }
-
-  ReadyDepthAgg depth_;
-  std::atomic<std::size_t> recycle_next_{0};
-  std::vector<std::unique_ptr<TileTable<S>>> shards_;
+  TableStats peaks_;  // the peak_* fields only
 };
 
 }  // namespace dpgen::runtime

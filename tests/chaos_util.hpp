@@ -127,12 +127,10 @@ inline engine::EngineResult run_case(const ChaosCase& c,
   return engine::run(model, c.params, c.problem.kernel, opt);
 }
 
-inline engine::EngineOptions base_options(int ranks, int threads,
-                                          int queue_shards) {
+inline engine::EngineOptions base_options(int ranks, int threads) {
   engine::EngineOptions opt;
   opt.ranks = ranks;
   opt.threads = threads;
-  opt.queue_shards = queue_shards;
   // Generous hard deadline: recovery (recover_stall_seconds) must fire
   // long before this, and a hang is better reported as a stall than a
   // ctest timeout.
@@ -141,9 +139,8 @@ inline engine::EngineOptions base_options(int ranks, int threads,
 }
 
 /// The fault-free reference output for a case at the given topology.
-inline std::string clean_lines(const ChaosCase& c, int ranks, int threads,
-                               int queue_shards) {
-  return result_lines(run_case(c, base_options(ranks, threads, queue_shards)),
+inline std::string clean_lines(const ChaosCase& c, int ranks, int threads) {
+  return result_lines(run_case(c, base_options(ranks, threads)),
                       c.track_max);
 }
 

@@ -642,7 +642,7 @@ TEST(EndToEnd, GeneratedProgramRejectsBadUsage) {
   // Well-formed values still run: negative parameters are legal (an empty
   // space), and every flag takes its documented form.
   auto [ok, ok_out] = run_command(
-      cat(prog.binary, " 5 --ranks=2 --threads=2 --shards=1 --capacity=0",
+      cat(prog.binary, " 5 --ranks=2 --threads=2 --capacity=0",
           " --monitor=- --monitor-interval=0.01 --policy=level"));
   EXPECT_EQ(ok, 0) << ok_out;
   EXPECT_NE(ok_out.find("RESULT"), std::string::npos) << ok_out;

@@ -297,7 +297,7 @@ TEST(FaultInjectorEngine, KillFiresAtTheSameLogicalPointEveryRun) {
       }
     c.V[c.loc] = any ? v : 1.0;
   };
-  engine::EngineOptions opt = chaos::base_options(3, 2, 1);
+  engine::EngineOptions opt = chaos::base_options(3, 2);
   opt.probes = {{0, 0}};
   opt.fault_plan = FaultPlan::parse("kill:1@12");
   std::vector<long long> posted;
@@ -315,22 +315,26 @@ TEST(FaultInjectorEngine, KillFiresAtTheSameLogicalPointEveryRun) {
 
 // ------------------------------------------------------- chaos scenarios
 
-/// Clean-reference cache: the fault-free lines per (case, shards), shared
+/// Clean-reference cache: the fault-free lines per (case, threads), shared
 /// across scenario tests (the sweep reruns the same topologies).
-const std::string& clean_reference(int case_index, int shards) {
+const std::string& clean_reference(int case_index, int threads) {
   static std::map<std::pair<int, int>, std::string> cache;
   static std::mutex mu;
   std::lock_guard<std::mutex> lock(mu);
-  auto key = std::make_pair(case_index, shards);
+  auto key = std::make_pair(case_index, threads);
   auto it = cache.find(key);
   if (it == cache.end()) {
     const ChaosCase c = chaos::chaos_cases()[static_cast<std::size_t>(
         case_index)];
-    it = cache.emplace(key, chaos::clean_lines(c, 4, 2, shards)).first;
+    it = cache.emplace(key, chaos::clean_lines(c, 4, threads)).first;
   }
   return it->second;
 }
 
+/// Parameters: (chaos case, worker threads per rank).  The thread count
+/// sets how many workers share each rank's tile table and how many
+/// stripes its pending map has (1 stripe at one thread, 8 at two, 16 at
+/// four), so the matrix covers the single-lock and the concurrent table.
 class ChaosScenario
     : public ::testing::TestWithParam<std::tuple<int, int>> {
  protected:
@@ -338,19 +342,19 @@ class ChaosScenario
     return chaos::chaos_cases()[static_cast<std::size_t>(
         std::get<0>(GetParam()))];
   }
-  int shards() const { return std::get<1>(GetParam()); }
+  int threads() const { return std::get<1>(GetParam()); }
   const std::string& clean() const {
-    return clean_reference(std::get<0>(GetParam()), shards());
+    return clean_reference(std::get<0>(GetParam()), threads());
   }
   engine::EngineOptions options() const {
-    return chaos::base_options(4, 2, shards());
+    return chaos::base_options(4, threads());
   }
 };
 
 TEST_P(ChaosScenario, CleanRunIsDeterministic) {
   const ChaosCase c = chaos_case();
   ASSERT_FALSE(clean().empty());
-  EXPECT_EQ(chaos::clean_lines(c, 4, 2, shards()), clean());
+  EXPECT_EQ(chaos::clean_lines(c, 4, threads()), clean());
 }
 
 TEST_P(ChaosScenario, KillRankMidRunRecoversByteIdentical) {
@@ -409,6 +413,9 @@ TEST_P(ChaosScenario, SlowNodeChangesNothingButTiming) {
   EXPECT_EQ(result.restarts, 0);
 }
 
+/// `<case>_shardsT` runs T worker threads per rank.  The suffix is the
+/// one the matrix had when it swept ready-queue shards at two threads;
+/// it is kept so each case's history stays under one test name.
 std::string scenario_name(
     const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
   const auto cases = chaos::chaos_cases();
@@ -418,7 +425,7 @@ std::string scenario_name(
 
 INSTANTIATE_TEST_SUITE_P(
     Faults, ChaosScenario,
-    ::testing::Combine(::testing::Range(0, 5), ::testing::Values(1, 2)),
+    ::testing::Combine(::testing::Range(0, 5), ::testing::Values(1, 2, 4)),
     scenario_name);
 
 // ------------------------------------------------------------------ soak
@@ -429,15 +436,15 @@ TEST(ChaosSoak, RandomizedSeededPlans) {
   for (int i = 0; i < iters; ++i) {
     const unsigned seed = 7701u + static_cast<unsigned>(i);
     const int case_index = i % static_cast<int>(cases.size());
-    const int shards = 1 + (i / static_cast<int>(cases.size())) % 2;
+    const int threads = 1 << ((i / static_cast<int>(cases.size())) % 3);
     const ChaosCase& c = cases[static_cast<std::size_t>(case_index)];
     const FaultPlan plan = FaultPlan::random(seed, 4);
-    auto opt = chaos::base_options(4, 2, shards);
+    auto opt = chaos::base_options(4, threads);
     opt.fault_plan = plan;
     opt.recover_stall_seconds = 0.2;
     const std::string replay =
         cat("chaos soak seed ", seed, " plan '", plan.to_string(), "' on ",
-            c.name, " shards=", shards,
+            c.name, " threads=", threads,
             " — replay with FaultPlan::parse(plan)");
     std::string got;
     try {
@@ -445,7 +452,7 @@ TEST(ChaosSoak, RandomizedSeededPlans) {
     } catch (const std::exception& e) {
       FAIL() << replay << " threw: " << e.what();
     }
-    ASSERT_EQ(got, clean_reference(case_index, shards)) << replay;
+    ASSERT_EQ(got, clean_reference(case_index, threads)) << replay;
   }
 }
 
@@ -492,19 +499,18 @@ TEST(CheckpointStore, SeedRankCreditsAndDelivers) {
   }
   // {1} executed, so its stored inbound edge must NOT be re-delivered;
   // {0} is live and gets its edge.
-  runtime::ShardedTileTable<double> table(
-      runtime::TileOrder({0}, {1}, runtime::PriorityPolicy::kColumnMajor),
-      1);
+  runtime::TileTable<double> table(
+      runtime::TileOrder({0}, {1}, runtime::PriorityPolicy::kColumnMajor));
   const long long credited = store.seed_rank(
       0, [](const IntVec&) { return 0; }, [](const IntVec&) { return 1; },
       table);
   EXPECT_EQ(credited, 2);  // {1} and {2}
-  auto ready = table.pop(0);
+  auto ready = table.pop();
   ASSERT_TRUE(ready.has_value());
   EXPECT_EQ(ready->tile, IntVec{0});
   ASSERT_EQ(ready->edges.size(), 1u);
   EXPECT_EQ(ready->edges[0].payload, std::vector<double>{4.0});
-  EXPECT_FALSE(table.pop(0).has_value());
+  EXPECT_FALSE(table.pop().has_value());
 }
 
 TEST(CheckpointJson, FileRoundTripPreservesEverything) {
@@ -546,9 +552,8 @@ TEST(CheckpointJson, MatchesPublishedSchema) {
     edges.push_back(edge_to({1}, 0, {2.0}));
     store.tile_complete({0}, std::move(edges));
   }
-  runtime::ShardedTileTable<double> table(
-      runtime::TileOrder({0}, {1}, runtime::PriorityPolicy::kColumnMajor),
-      1);
+  runtime::TileTable<double> table(
+      runtime::TileOrder({0}, {1}, runtime::PriorityPolicy::kColumnMajor));
   store.attach_table(0, &table);
   const std::string text = runtime::encode_checkpoint_json(store.to_doc());
   store.detach_table(0);
@@ -609,13 +614,13 @@ TEST(CheckpointResume, PartialCheckpointResumesToIdenticalOutput) {
   const std::string path =
       ::testing::TempDir() + "dpgen_checkpoint_resume.json";
 
-  auto opt = chaos::base_options(2, 2, 1);
+  auto opt = chaos::base_options(2, 2);
   opt.fault_tolerant = true;
   opt.checkpoint_json_path = path;
   opt.checkpoint_every_tiles = 1;
   const auto full = chaos::run_case(c, opt);
   const std::string want = chaos::result_lines(full, c.track_max);
-  EXPECT_EQ(want, chaos::clean_lines(c, 2, 2, 1));
+  EXPECT_EQ(want, chaos::clean_lines(c, 2, 2));
 
   runtime::CheckpointDoc doc = runtime::load_checkpoint_json(path);
   const std::size_t total = doc.executed.size();
@@ -633,7 +638,7 @@ TEST(CheckpointResume, PartialCheckpointResumesToIdenticalOutput) {
   runtime::write_checkpoint_file(path,
                                  runtime::encode_checkpoint_json(doc));
 
-  auto resume = chaos::base_options(2, 2, 1);
+  auto resume = chaos::base_options(2, 2);
   resume.fault_tolerant = true;
   resume.resume_checkpoint_path = path;
   const auto resumed = chaos::run_case(c, resume);
@@ -665,7 +670,7 @@ TEST(CheckpointEngine, KillWritesCheckpointAndEventsTellTheStory) {
       ::testing::TempDir() + "dpgen_checkpoint_kill.json";
   const std::string events =
       ::testing::TempDir() + "dpgen_chaos_events.jsonl";
-  auto opt = chaos::base_options(4, 2, 2);
+  auto opt = chaos::base_options(4, 2);
   opt.fault_plan = FaultPlan::parse("kill:2@25");
   opt.checkpoint_json_path = ckpt;
   opt.checkpoint_every_tiles = 4;

@@ -326,19 +326,19 @@ TEST(FailureInjection, PackThenUnpackRoundTripsExactly) {
   }
 }
 
-TEST(QueueShards, AllShardCountsGiveSameResults) {
+TEST(WorkerThreads, AllThreadCountsGiveSameResults) {
+  // The thread count also sets the tile table's stripe count (1, 8, 16).
   problems::Problem p = problems::bandit2(3);
   tiling::TilingModel model(p.spec);
   double expected = p.reference({11});
-  for (int shards : {1, 2, 4, 7}) {
+  for (int threads : {1, 2, 4}) {
     EngineOptions opt;
     opt.ranks = 2;
-    opt.threads = 3;
-    opt.queue_shards = shards;
+    opt.threads = threads;
     opt.probes = {p.objective};
     auto result = run(model, {11}, p.kernel, opt);
     EXPECT_NEAR(result.at(p.objective), expected, 1e-12)
-        << shards << " shards";
+        << threads << " threads";
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <limits>
 #include <thread>
@@ -139,70 +140,121 @@ TEST(TileTableOps, IdleReflectsState) {
   EXPECT_FALSE(table.idle());
 }
 
+// The pending map is sharded into hash stripes (one per lock); these cover
+// the stripes against the one rank-level ready heap.
+
 TEST(ShardedTable, SingleShardBehavesLikePlainTable) {
-  TileOrder order = default_order();
-  ShardedTileTable<double> table(order, 1);
+  TileTable<double> table(default_order(), 1);
+  TileTable<double>::Worker w;
   table.seed_ready({0, 5});
   table.seed_ready({3, 1});
-  EXPECT_EQ(table.pop(0)->tile, (IntVec{0, 5}));
-  EXPECT_EQ(table.pop(0)->tile, (IntVec{3, 1}));
-  EXPECT_FALSE(table.pop(0).has_value());
+  EXPECT_EQ(table.pop(w)->tile, (IntVec{0, 5}));
+  EXPECT_EQ(table.pop(w)->tile, (IntVec{3, 1}));
+  EXPECT_FALSE(table.pop(w).has_value());
 }
 
 TEST(ShardedTable, StealingFindsWorkInOtherShards) {
-  ShardedTileTable<double> table(default_order(), 4);
-  table.seed_ready({1, 1});  // lands in hash(tile) % 4
-  // Whatever the preferred shard, the single ready tile must be found.
-  for (int preferred = 0; preferred < 4; ++preferred) {
-    auto t = table.pop(preferred);
-    ASSERT_TRUE(t.has_value()) << "preferred " << preferred;
-    table.seed_ready(t->tile);  // put it back for the next round
+  // A tile one worker's delivery completed is handed to that worker; once
+  // its next pop publishes the rest, any worker finds them, whatever
+  // stripe their edges went through.
+  TileTable<double> table(default_order(), 4);
+  TileTable<double>::Worker a, b;
+  auto one = [](const IntVec&) { return 1; };
+  for (Int i = 0; i < 4; ++i) table.deliver(a, {i, 0}, one, {0, {1.0}});
+  EXPECT_FALSE(table.pop(b).has_value());  // still on a's list
+  auto first = table.pop(a);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->tile, (IntVec{0, 0}));  // the earliest of the four
+  for (Int i = 1; i < 4; ++i) {
+    auto t = table.pop(b);
+    ASSERT_TRUE(t.has_value());
+    EXPECT_EQ(t->tile, (IntVec{i, 0}));
   }
+  EXPECT_FALSE(table.pop(b).has_value());
 }
 
 TEST(ShardedTable, DeliverRoutesConsistently) {
-  ShardedTileTable<double> table(default_order(), 3);
+  TileTable<double> table(default_order(), 3);
   auto two = [](const IntVec&) { return 2; };
   table.deliver({2, 2}, two, {0, {1.0}});
-  EXPECT_FALSE(table.pop(0).has_value());  // still pending
-  table.deliver({2, 2}, two, {1, {2.0}});  // same shard via same hash
-  auto t = table.pop(0);
+  EXPECT_FALSE(table.pop().has_value());  // still pending
+  table.deliver({2, 2}, two, {1, {2.0}});  // same stripe via same hash
+  auto t = table.pop();
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->edges.size(), 2u);
   EXPECT_TRUE(table.idle());
 }
 
 TEST(ShardedTable, StatsAggregateAcrossShards) {
-  ShardedTileTable<float> table(default_order(), 2);
+  TileTable<float> table(default_order(), 2);
   auto one = [](const IntVec&) { return 1; };
   table.deliver({0, 0}, one, {0, {1.0f, 2.0f}});
   table.deliver({5, 5}, one, {0, {3.0f}});
   auto s = table.stats();
   EXPECT_EQ(s.delivered_edges, 2);
   EXPECT_EQ(s.peak_buffered_scalars, 3);
-  EXPECT_THROW(ShardedTileTable<float>(default_order(), 0), Error);
+  EXPECT_EQ(s.peak_ready_tiles, 2);
+  EXPECT_THROW(TileTable<float>(default_order(), 0), Error);
 }
 
 TEST(ShardedTable, ReadyPeakIsSimultaneousNotSummed) {
   // Tiles become ready one at a time and are popped immediately, spread
-  // over both shards.  The rank-level peak must be 1 — summing per-shard
-  // peaks (the old bug) would report 2.
-  ShardedTileTable<float> table(default_order(), 2);
+  // over the stripes.  The rank-level peak must be 1 — summing per-stripe
+  // peaks would report more.
+  TileTable<float> table(default_order(), 2);
   auto one = [](const IntVec&) { return 1; };
   for (Int i = 0; i < 8; ++i) {
     table.deliver({i, i + 1}, one, {0, {1.0f}});
-    ASSERT_TRUE(table.pop(0).has_value());
+    ASSERT_TRUE(table.pop().has_value());
   }
-  EXPECT_EQ(table.stats().peak_ready_tiles, 1);
+  const TableStats s = table.stats();
+  EXPECT_EQ(s.peak_ready_tiles, 1);
+  EXPECT_EQ(s.peak_buffered_edges, 1);
+  EXPECT_EQ(s.peak_pending_tiles, 1);  // one slot open at a time
 }
 
 TEST(ShardedTable, ReadyPeakTracksSimultaneousDepth) {
-  ShardedTileTable<float> table(default_order(), 2);
+  TileTable<float> table(default_order(), 2);
   for (Int i = 0; i < 5; ++i) table.seed_ready({i, i});
   EXPECT_EQ(table.stats().peak_ready_tiles, 5);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(table.pop(i).has_value());
-  EXPECT_FALSE(table.pop(0).has_value());
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(table.pop().has_value());
+  EXPECT_FALSE(table.pop().has_value());
   EXPECT_EQ(table.stats().peak_ready_tiles, 5);  // peak, not current depth
+}
+
+TEST(ShardedTable, WorkerPeaksAreExactAtOneThread) {
+  // The driver's pattern at one thread: a pop, then the deliveries it
+  // makes, folded into the rank-level counters at the next pop.  The
+  // peaks must be those of the eager count: the pending peak is reached
+  // in the middle of a tile's deliveries, not at its end.
+  TileTable<double> table(default_order(), 1);
+  TileTable<double>::Worker w;
+  auto two = [](const IntVec&) { return 2; };
+  table.seed_ready({9, 9});
+  ASSERT_TRUE(table.pop(w).has_value());
+  table.deliver(w, {1, 1}, two, {0, {1.0}});       // pending 1
+  table.deliver(w, {2, 2}, two, {0, {1.0, 2.0}});  // pending 2 (peak)
+  table.deliver(w, {1, 1}, two, {1, {3.0}});       // {1,1} ready
+  table.deliver(w, {2, 2}, two, {1, {4.0}});       // {2,2} ready
+  EXPECT_EQ(table.snapshot().pending_tiles, 0);  // not folded yet
+  ASSERT_TRUE(table.pop(w).has_value());
+  const TableStats s = table.stats();
+  EXPECT_EQ(s.peak_pending_tiles, 2);
+  EXPECT_EQ(s.peak_buffered_edges, 4);
+  EXPECT_EQ(s.peak_buffered_scalars, 5);
+  EXPECT_EQ(s.peak_ready_tiles, 2);
+  const TableSnapshot snap = table.snapshot();
+  EXPECT_EQ(snap.pending_tiles, 0);
+  EXPECT_EQ(snap.ready_tiles, 1);
+  EXPECT_EQ(snap.buffered_edges, 2);
+}
+
+TEST(ShardedTable, StripeCountFollowsThreads) {
+  EXPECT_EQ(TileTable<double>::stripes_for(1), 1u);
+  EXPECT_EQ(TileTable<double>::stripes_for(2), 8u);
+  EXPECT_EQ(TileTable<double>::stripes_for(3), 16u);
+  EXPECT_EQ(TileTable<double>::stripes_for(4), 16u);
+  EXPECT_EQ(TileTable<double>::stripes_for(5), 32u);
 }
 
 TEST(EdgeWire, EncodeDecodeRoundTrip) {
@@ -293,8 +345,141 @@ TEST(EdgeWire, FloatScalarsSupported) {
   EXPECT_EQ(out, payload);
 }
 
+// ---- the table under concurrent workers -------------------------------
+
+/// An n^d grid wavefront: tile t depends on t - e_k for every k with
+/// t[k] > 0, and edge k carries the producer's linear index, so a popped
+/// tile can check that it holds exactly the edges of its predecessors.
+struct Wavefront {
+  int d;
+  Int n;
+  Int total() const {
+    Int t = 1;
+    for (int k = 0; k < d; ++k) t *= n;
+    return t;
+  }
+  Int index(const IntVec& t) const {
+    Int i = 0;
+    for (Int x : t) i = i * n + x;
+    return i;
+  }
+  int deps(const IntVec& t) const {
+    int c = 0;
+    for (Int x : t) c += x > 0 ? 1 : 0;
+    return c;
+  }
+};
+
+/// Runs `threads` workers in the driver's pattern (pop, check, deliver
+/// each successor edge `copies` times, recycle) until `done` reaches
+/// `stop_at`, then flushes them.  pops[i] counts the pops of tile i.  A
+/// table that loses a tile would leave the workers waiting forever, so
+/// they give up after a deadline and the caller's counts fail.
+void run_wavefront(TileTable<double>& table, const Wavefront& wf, int threads,
+                   int copies, Int stop_at, std::atomic<Int>& done,
+                   std::vector<std::atomic<int>>& pops) {
+  auto deps = [&](const IntVec& t) { return wf.deps(t); };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < threads; ++w)
+    workers.emplace_back([&] {
+      TileTable<double>::Worker local;
+      while (done.load(std::memory_order_acquire) < stop_at) {
+        auto r = table.pop(local);
+        if (!r) {
+          if (std::chrono::steady_clock::now() > deadline) break;
+          std::this_thread::yield();
+          continue;
+        }
+        const IntVec& t = r->tile;
+        pops[static_cast<std::size_t>(wf.index(t))].fetch_add(1);
+        EXPECT_EQ(static_cast<int>(r->edges.size()), wf.deps(t));
+        for (const auto& e : r->edges) {
+          IntVec producer = t;
+          producer[static_cast<std::size_t>(e.edge)] -= 1;
+          ASSERT_EQ(e.payload.size(), 1u);
+          EXPECT_EQ(e.payload[0], static_cast<double>(wf.index(producer)));
+        }
+        for (int k = 0; k < wf.d; ++k) {
+          IntVec c = t;
+          if (++c[static_cast<std::size_t>(k)] >= wf.n) continue;
+          for (int copy = 0; copy < copies; ++copy)
+            table.deliver(local, c, deps,
+                          {k, {static_cast<double>(wf.index(t))}});
+        }
+        local.recycle(std::move(*r));
+        done.fetch_add(1, std::memory_order_release);
+      }
+      table.flush(local);
+    });
+  for (auto& t : workers) t.join();
+}
+
+/// Drives a whole wavefront through 4 workers; with `export_midway` the
+/// run stops near half way, the table is exported and restored into a
+/// fresh (2-thread) table, and the run finishes there.  Every tile must
+/// pop exactly once with all its edges.
+void check_wavefront(int d, Int n, int copies, bool export_midway) {
+  const Wavefront wf{d, n};
+  const TileOrder order(std::vector<int>{}, std::vector<int>(d, 1),
+                        PriorityPolicy::kColumnMajor);
+  TileTable<double> table(order, 4);
+  if (copies > 1) table.enable_replay_guard();
+  table.seed_ready(IntVec(static_cast<std::size_t>(d), 0));
+  std::vector<std::atomic<int>> pops(static_cast<std::size_t>(wf.total()));
+  std::atomic<Int> done{0};
+  TableStats stats;
+  if (export_midway) {
+    run_wavefront(table, wf, 4, copies, wf.total() / 2, done, pops);
+    ASSERT_GE(done.load(), wf.total() / 2);
+    EXPECT_LT(done.load(), wf.total());
+    TileTable<double> resumed(order, 2);
+    resumed.restore_state(table.export_state());
+    run_wavefront(resumed, wf, 4, copies, wf.total(), done, pops);
+    EXPECT_TRUE(resumed.idle());
+    stats = resumed.stats();
+  } else {
+    run_wavefront(table, wf, 4, copies, wf.total(), done, pops);
+    EXPECT_TRUE(table.idle());
+    stats = table.stats();
+    // Every edge but the duplicates went in exactly once.
+    Int edges = 0;
+    for (Int i = 0; i < wf.total(); ++i) {
+      IntVec t(static_cast<std::size_t>(d));
+      for (int k = d - 1, x = static_cast<int>(i); k >= 0; --k, x /= n)
+        t[static_cast<std::size_t>(k)] = x % n;
+      edges += wf.deps(t);
+    }
+    EXPECT_EQ(stats.delivered_edges, edges);
+    EXPECT_EQ(stats.duplicate_edges, edges * (copies - 1));
+  }
+  EXPECT_EQ(done.load(), wf.total());
+  for (Int i = 0; i < wf.total(); ++i)
+    ASSERT_EQ(pops[static_cast<std::size_t>(i)].load(), 1) << "tile " << i;
+  EXPECT_GE(stats.peak_ready_tiles, 1);
+}
+
+TEST(TileTableStress, Wavefront2dEveryTilePopsOnceWithAllEdges) {
+  check_wavefront(2, 48, 1, false);
+}
+
+TEST(TileTableStress, Wavefront3dEveryTilePopsOnceWithAllEdges) {
+  check_wavefront(3, 12, 1, false);
+}
+
+TEST(TileTableStress, DuplicateEdgesDroppedUnderReplayGuard) {
+  check_wavefront(2, 40, 2, false);
+  check_wavefront(3, 10, 2, false);
+}
+
+TEST(TileTableStress, ExportRestoreRoundTripsMidRun) {
+  check_wavefront(2, 40, 1, true);
+  check_wavefront(3, 10, 2, true);
+}
+
 TEST(RuntimeSnapshot, TracksPendingReadyBuffered) {
-  ShardedTileTable<double> table(default_order(), 2);
+  TileTable<double> table(default_order(), 2);
   auto two = [](const IntVec&) { return 2; };
   table.deliver({1, 1}, two, {0, {1.0}});
   TableSnapshot s = table.snapshot();
@@ -306,7 +491,7 @@ TEST(RuntimeSnapshot, TracksPendingReadyBuffered) {
   EXPECT_EQ(s.pending_tiles, 0);
   EXPECT_EQ(s.ready_tiles, 1);
   EXPECT_EQ(s.buffered_edges, 2);  // ready tiles still hold their edges
-  ASSERT_TRUE(table.pop(0).has_value());
+  ASSERT_TRUE(table.pop().has_value());
   s = table.snapshot();
   EXPECT_EQ(s.pending_tiles, 0);
   EXPECT_EQ(s.ready_tiles, 0);
@@ -318,10 +503,10 @@ TEST(RuntimeSnapshot, ConcurrentWithDeliverAndPop) {
   // edges stream in and tiles are popped.  Every tile needs exactly two
   // edges, so any consistent observation satisfies
   //   buffered_edges == pending_tiles + 2 * ready_tiles
-  // per shard — and the sum of per-shard identities is the identity on
-  // the summed snapshot, no matter when each shard was read.
+  // — the snapshot reads the rank-level counters, which a delivery
+  // outside a worker loop folds in together with the tile it made ready.
   constexpr Int kTiles = 2000;
-  ShardedTileTable<double> table(default_order(), 4);
+  TileTable<double> table(default_order(), 4);
   auto two = [](const IntVec&) { return 2; };
   std::atomic<bool> done{false};
 
@@ -334,7 +519,7 @@ TEST(RuntimeSnapshot, ConcurrentWithDeliverAndPop) {
   std::thread consumer([&] {
     Int popped = 0;
     while (popped < kTiles) {
-      auto t = table.pop(static_cast<int>(popped) % 4);
+      auto t = table.pop();
       if (t) {
         EXPECT_EQ(t->edges.size(), 2u);
         ++popped;
@@ -433,12 +618,15 @@ TEST(TableStateRoundTrip, TombstonedSlotsAreNotExported) {
   auto two_deps = [](const IntVec&) { return 2; };
   for (Int i = 0; i < 8; ++i)
     table.deliver({i, i}, one_dep, {0, {static_cast<double>(i)}});
+  TileTable<double>::Worker w;
   for (int i = 0; i < 8; ++i) {
-    auto t = table.pop();
+    auto t = table.pop(w);
     ASSERT_TRUE(t.has_value());
-    table.recycle(std::move(*t));
+    w.recycle(std::move(*t));
   }
-  table.deliver({9, 0}, two_deps, {0, {42.0}});
+  // The slot w opens next takes a recycled container.
+  table.deliver(w, {9, 0}, two_deps, {0, {42.0}});
+  table.flush(w);
   const TableState<double> state = table.export_state();
   ASSERT_EQ(state.pending.size(), 1u);
   EXPECT_EQ(state.pending[0].tile, (IntVec{9, 0}));
@@ -449,28 +637,28 @@ TEST(TableStateRoundTrip, TombstonedSlotsAreNotExported) {
 }
 
 TEST(TableStateRoundTrip, ShardedExportRestoresAcrossShardCounts) {
-  // The exported state is shard-agnostic: a 4-shard table's state restores
-  // into a 2-shard table (the engine re-shards after a restart when the
-  // surviving world is smaller).
+  // The exported state is stripe-agnostic: a 4-thread table's state (16
+  // stripes) restores into a 2-thread table (8 stripes), as when a
+  // restart runs on fewer threads.
   TileOrder order = default_order();
-  ShardedTileTable<double> src(order, 4);
+  TileTable<double> src(order, 4);
   auto two_deps = [](const IntVec&) { return 2; };
   for (Int i = 0; i < 12; ++i) {
     src.deliver({i, i + 1}, two_deps, {0, {static_cast<double>(i)}});
     if (i % 2 == 0)
       src.deliver({i, i + 1}, two_deps, {1, {static_cast<double>(-i)}});
   }
-  ShardedTileTable<double> dst(order, 2);
+  TileTable<double> dst(order, 2);
   dst.restore_state(src.export_state());
   TableSnapshot before = src.snapshot(), after = dst.snapshot();
   EXPECT_EQ(after.pending_tiles, before.pending_tiles);
   EXPECT_EQ(after.ready_tiles, before.ready_tiles);
   EXPECT_EQ(after.buffered_edges, before.buffered_edges);
-  // Finish the odd tiles and drain everything through the steal path.
+  // Finish the odd tiles and drain everything.
   for (Int i = 1; i < 12; i += 2)
     dst.deliver({i, i + 1}, two_deps, {1, {static_cast<double>(-i)}});
   int popped = 0;
-  while (dst.pop(0)) ++popped;
+  while (dst.pop()) ++popped;
   EXPECT_EQ(popped, 12);
   EXPECT_TRUE(dst.idle());
 }
@@ -479,7 +667,7 @@ TEST(TableStateRoundTrip, DuplicateEdgeStatSurvivesConcurrentDelivery) {
   // The duplicate guard must hold under concurrent duplicate delivery:
   // exactly one copy of each edge lands no matter the interleaving.
   TileOrder order = default_order();
-  ShardedTileTable<double> table(order, 2);
+  TileTable<double> table(order, 2);
   table.enable_replay_guard();  // duplicates only occur on guarded runs
   auto four_deps = [](const IntVec&) { return 4; };
   constexpr int kThreads = 4;
@@ -496,7 +684,7 @@ TEST(TableStateRoundTrip, DuplicateEdgeStatSurvivesConcurrentDelivery) {
     });
   for (auto& t : workers) t.join();
   int popped = 0;
-  while (auto t = table.pop(0)) {
+  while (auto t = table.pop()) {
     EXPECT_EQ(t->edges.size(), 4u);
     ++popped;
   }
